@@ -471,6 +471,12 @@ pub fn all() -> Vec<Claim> {
             "steady-state dispatches come from the arena",
             AtLeast(90.0),
         ),
+        c(
+            "perf_exec_engine",
+            "fetch_front_served_share",
+            "the fetch front serves the oracle loop's straight-line fetches",
+            AtLeast(0.8),
+        ),
         // ---- perf_campaign (persistent executor + pooled machines) -----
         // Not a paper table: the executor-rewrite regression gate. Bands
         // match the bench's own checks so a printed PASS always verifies.

@@ -432,6 +432,60 @@ mod tests {
         }
     }
 
+    /// The simulated work of one quiet data-oracle trial, pinned so a
+    /// host-side engine change cannot shift it unnoticed: 64 training
+    /// syscalls of 29 instructions each (2 more on wrong paths), and a
+    /// trigger of 218 retired instructions (the byte-at-a-time copy of
+    /// the 24-byte payload is most of them) plus 65 on wrong paths.
+    /// Reset, prime and probe are host-driven loads and retire nothing.
+    #[test]
+    fn a_quiet_data_trial_retires_2074_instructions_over_65_syscalls() {
+        let mut sys = quiet_system();
+        let set = sys.pick_quiet_dtlb_set();
+        let target = sys.alloc_target(set);
+        let pac = sys.true_pac(target);
+        let mut oracle = DataPacOracle::new(&mut sys).unwrap();
+        oracle.trial(&mut sys, target, pac).unwrap();
+        let work = |sys: &System| {
+            let s = sys.machine.stats;
+            (s.retired, s.syscalls, s.spec_insts)
+        };
+
+        // Phase by phase, exactly as `DataPacOracle::trial` runs them.
+        let pp = PrimeProbe::for_target(&mut sys, target);
+        let sc = sys.gadget.data_gadget;
+        let before = work(&sys);
+        for _ in 0..TRAIN_ITERS {
+            sys.kernel.syscall(&mut sys.machine, sc, &[0, 0, 1]).unwrap();
+        }
+        let trained = work(&sys);
+        assert_eq!(trained.0 - before.0, 64 * 29, "training retires 29 per syscall");
+        assert_eq!(trained.1 - before.1, 64);
+        // The copy loop's `b.ge` leaves the trigger trained not-taken;
+        // the first two zero-length copies mispredict it, and each
+        // wrong path ends on its suppressed load from the null source.
+        assert_eq!(trained.2 - before.2, 2, "training runs 2 on the wrong path");
+        pp.reset(&mut sys).unwrap();
+        pp.prime(&mut sys).unwrap();
+        assert_eq!(work(&sys), trained, "reset and prime retire nothing");
+        let buf = sys.write_payload(&payload_for(target, pac));
+        sys.kernel.syscall(&mut sys.machine, sc, &[buf, 24, 0]).unwrap();
+        let triggered = work(&sys);
+        assert_eq!(triggered.0 - trained.0, 218, "trigger retires 218");
+        assert_eq!(triggered.1 - trained.1, 1);
+        // Four shadows: 48 + 6 + 6 + 5 wrong-path instructions, as the
+        // copy loop's `b.ge` and the gadget's `cbz` mispredict.
+        assert_eq!(triggered.2 - trained.2, 65, "trigger runs 65 on wrong paths");
+        assert!(pp.probe(&mut sys).unwrap() >= CORRECT_MISS_THRESHOLD);
+        assert_eq!(work(&sys), triggered, "probe retires nothing");
+
+        // And the trial as a whole.
+        let start = work(&sys);
+        oracle.trial(&mut sys, target, pac ^ 1).unwrap();
+        let end = work(&sys);
+        assert_eq!((end.0 - start.0, end.1 - start.1), (2074, 65));
+    }
+
     #[test]
     fn median_sampling_filters_outliers() {
         let v = OracleVerdict::from_misses(vec![0, 0, 12, 0, 1]);

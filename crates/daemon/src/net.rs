@@ -10,7 +10,7 @@
 //! client vanished.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
@@ -18,6 +18,11 @@ use pacman_telemetry::json::{to_jsonl_line, Value};
 
 use crate::protocol::{self, Request};
 use crate::service::{Daemon, SessionHandle};
+
+/// Longest request line [`serve_connection`] reads, newline included.
+/// Requests are a few hundred bytes; the cap keeps one client from
+/// making the daemon buffer an unbounded line.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Writes one record as a JSONL line and flushes, so a client polling
 /// the stream never waits on a buffer.
@@ -48,9 +53,11 @@ fn spawn_forwarder<W: Write + Send + 'static>(
 /// Serves one client connection: reads request lines from `reader`,
 /// writes response records to `writer`. Returns `true` when the client
 /// requested a daemon `shutdown` (the caller then drains), `false` on
-/// plain EOF. Every session the connection opened is closed before
-/// returning, so queued jobs finish and final telemetry is streamed.
-pub fn serve_connection<R, W>(daemon: &Daemon, reader: R, writer: Arc<Mutex<W>>) -> bool
+/// plain EOF. A line longer than [`MAX_REQUEST_LINE`] is answered with
+/// an `error` record and ends the connection like EOF. Every session
+/// the connection opened is closed before returning, so queued jobs
+/// finish and final telemetry is streamed.
+pub fn serve_connection<R, W>(daemon: &Daemon, mut reader: R, writer: Arc<Mutex<W>>) -> bool
 where
     R: BufRead,
     W: Write + Send + 'static,
@@ -58,8 +65,19 @@ where
     let mut sessions: HashMap<String, SessionHandle> = HashMap::new();
     let mut forwarders = Vec::new();
     let mut shutdown = false;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match reader.by_ref().take(limit).read_line(&mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.len() > MAX_REQUEST_LINE {
+            let msg = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            write_record(&writer, &protocol::error(&msg));
+            break;
+        }
         if line.trim().is_empty() {
             continue;
         }
@@ -250,6 +268,28 @@ mod tests {
         let types: Vec<_> =
             records.iter().filter_map(|r| r.get("type").and_then(Value::as_str)).collect();
         assert_eq!(types, ["error", "error", "pong"]);
+        daemon.drain();
+    }
+
+    #[test]
+    fn a_deeply_nested_or_oversized_request_line_is_an_error_not_an_abort() {
+        let daemon = echo_daemon();
+        // Nested past the JSON depth cap but within the line cap: a
+        // protocol error, and the connection carries on.
+        let nested = format!("{{\"type\":\"ping\",\"x\":{}\n", "[".repeat(10_000));
+        let (shutdown, records) = run_script(&daemon, &format!("{nested}{{\"type\":\"ping\"}}\n"));
+        assert!(!shutdown);
+        let types: Vec<_> =
+            records.iter().filter_map(|r| r.get("type").and_then(Value::as_str)).collect();
+        assert_eq!(types, ["error", "pong"]);
+        // The line that used to overflow the stack: over the line cap, so
+        // answered with an error and the connection is closed.
+        let hostile = format!("{{\"type\":\"submit\",\"x\":{}", "[".repeat(1_000_000));
+        let script = format!("{hostile}\n{{\"type\":\"ping\"}}\n");
+        let (shutdown, records) = run_script(&daemon, &script);
+        assert!(!shutdown);
+        assert_eq!(records.len(), 1, "nothing after the oversized line is served");
+        assert_eq!(records[0].get("type").and_then(Value::as_str), Some("error"));
         daemon.drain();
     }
 

@@ -149,11 +149,28 @@ impl fmt::Display for Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a single hostile line of `[[[[…`
+/// overflows the stack and aborts the process; real documents nest a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of input [`parse`] rejected.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// Why [`parse`] rejected its input.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the problem.
     pub offset: usize,
+    /// What kind of problem it is.
+    pub kind: ParseErrorKind,
     /// Human-readable reason.
     pub reason: String,
 }
@@ -169,7 +186,7 @@ impl std::error::Error for ParseError {}
 /// Parses one JSON document (surrounding whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -247,11 +264,31 @@ pub fn to_jsonl_line(value: &Value) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn error(&self, reason: impl Into<String>) -> ParseError {
-        ParseError { offset: self.pos, reason: reason.into() }
+        ParseError { offset: self.pos, kind: ParseErrorKind::Syntax, reason: reason.into() }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                offset: self.pos,
+                kind: ParseErrorKind::TooDeep,
+                reason: format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn peek(&self) -> Option<u8> {
@@ -288,8 +325,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
@@ -539,6 +576,21 @@ mod tests {
         ] {
             assert!(parse(text).is_err(), "should reject {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Unterminated and far deeper: still the typed error, at once.
+        let hostile = format!("{{\"type\":\"submit\",\"x\":{}", "[".repeat(1_000_000));
+        assert_eq!(parse(&hostile).unwrap_err().kind, ParseErrorKind::TooDeep);
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&objects).unwrap_err().kind, ParseErrorKind::TooDeep);
+        assert_eq!(parse("[1,]").unwrap_err().kind, ParseErrorKind::Syntax);
     }
 
     #[test]

@@ -42,6 +42,13 @@ const ARENA_CAP: usize = 1 << 20;
 /// Words per frame slot table.
 const SLOTS: usize = (PAGE_SIZE / 4) as usize;
 
+/// One frame's slot table: word index → predecoded micro-op.
+type Slots = Box<[Option<Inst>; SLOTS]>;
+
+fn empty_slots() -> Slots {
+    vec![None; SLOTS].into_boxed_slice().try_into().expect("SLOTS entries")
+}
+
 /// Dispatch and invalidation counters, exported as `exec.block.*`.
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct BlockCacheStats {
@@ -57,6 +64,20 @@ pub struct BlockCacheStats {
     pub bypasses: u64,
 }
 
+/// A held index of one frame's slot table, taken by [`BlockCache::hold`]
+/// and valid while the cache's arena epoch is unchanged (no flush
+/// since). Host-only: never serialised.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+pub(crate) struct HeldFrame {
+    epoch: u64,
+    index: usize,
+}
+
+impl HeldFrame {
+    /// Holds nothing: its epoch is never current.
+    pub(crate) const NONE: Self = Self { epoch: u64::MAX, index: 0 };
+}
+
 /// The predecoded block cache. One per [`crate::Machine`]; purely a
 /// host-side accelerator — it never changes simulated cycles, RNG draws,
 /// or microarchitectural state.
@@ -68,12 +89,15 @@ pub struct BlockCache {
     /// table per decoded-from frame, word index → predecoded micro-op.
     /// Storing the `Inst` inline makes a dispatch hit exactly one
     /// indexed load; frames never decoded from stay `None`.
-    frames: Vec<Option<Box<[Option<Inst>]>>>,
+    frames: Vec<Option<Slots>>,
     /// Micro-ops currently live across all frame arenas (capacity
     /// accounting for the epoch flush).
     live: usize,
     /// The code-write generation the cached entries were decoded at.
     valid_gen: u64,
+    /// Bumped whenever `frames` is cleared, so a [`HeldFrame`] from an
+    /// earlier arena never indexes this one. Host-only.
+    epoch: u64,
     /// Dispatch counters.
     pub stats: BlockCacheStats,
 }
@@ -95,8 +119,7 @@ impl BlockCache {
         if gen != self.valid_gen {
             // A store hit a decoded code frame since the last dispatch:
             // drop everything and re-decode on demand.
-            self.frames.clear();
-            self.live = 0;
+            self.clear();
             self.valid_gen = gen;
             self.stats.invalidations += 1;
         }
@@ -116,10 +139,55 @@ impl BlockCache {
         self.decode_run(pa, phys)
     }
 
+    /// Holds the slot table of `pa`'s frame for [`BlockCache::fetch_held`]
+    /// ([`HeldFrame::NONE`] if that frame has none in the current arena).
+    pub(crate) fn hold(&self, pa: u64) -> HeldFrame {
+        let index = (pa / PAGE_SIZE).wrapping_sub(1) as usize;
+        match self.frames.get(index) {
+            Some(Some(_)) => HeldFrame { epoch: self.epoch, index },
+            _ => HeldFrame::NONE,
+        }
+    }
+
+    /// Superblock dispatch: serves the word at `pa`, which must lie in
+    /// the frame `held` was taken for, straight from the held slot
+    /// table — the run [`BlockCache::fetch`]'s miss path decoded — with
+    /// the hit counted exactly as `fetch` would count it. Returns `None`
+    /// without touching any counter whenever `fetch` could do anything
+    /// but hit (a flushed arena, a pending code-write invalidation, a
+    /// misaligned word, an undecoded slot); the caller then falls back
+    /// to `fetch`.
+    #[inline]
+    pub(crate) fn fetch_held(
+        &mut self,
+        held: HeldFrame,
+        pa: u64,
+        phys: &PhysMemory,
+    ) -> Option<Inst> {
+        if held.epoch != self.epoch
+            || phys.code_write_gen() != self.valid_gen
+            || !pa.is_multiple_of(4)
+        {
+            return None;
+        }
+        debug_assert_eq!((pa / PAGE_SIZE).wrapping_sub(1) as usize, held.index);
+        // Copied out whole (not destructured), so the micro-op moves as
+        // one word.
+        let slot = self.frames[held.index].as_ref()?[(pa % PAGE_SIZE) as usize / 4];
+        self.stats.hits += u64::from(slot.is_some());
+        slot
+    }
+
+    /// Empties the arena, starting a new epoch.
+    fn clear(&mut self) {
+        self.frames.clear();
+        self.live = 0;
+        self.epoch += 1;
+    }
+
     fn decode_run(&mut self, pa: u64, phys: &mut PhysMemory) -> Option<Inst> {
         if self.live + MAX_RUN > ARENA_CAP {
-            self.frames.clear();
-            self.live = 0;
+            self.clear();
         }
         let pfn = pa / PAGE_SIZE;
         if !phys.is_backed(pfn) {
@@ -134,7 +202,7 @@ impl BlockCache {
         if self.frames.len() <= fi {
             self.frames.resize_with(fi + 1, || None);
         }
-        let slots = self.frames[fi].get_or_insert_with(|| vec![None; SLOTS].into_boxed_slice());
+        let slots = self.frames[fi].get_or_insert_with(empty_slots);
         let mut inst = first;
         let mut off = (pa % PAGE_SIZE) as usize;
         for _ in 0..MAX_RUN {
@@ -207,8 +275,7 @@ impl BlockCache {
         self.stats.invalidations = r.u64()?;
         self.stats.bypasses = r.u64()?;
         let count = r.usize()?;
-        self.frames.clear();
-        self.live = 0;
+        self.clear();
         for fi in 0..count {
             if !r.bool()? {
                 self.frames.push(None);
@@ -219,7 +286,7 @@ impl BlockCache {
                 return Err(BinError::Corrupt(format!("slot bitmap of {} bytes", bitmap.len())));
             }
             let pfn = fi as u64 + 1;
-            let mut slots = vec![None; SLOTS].into_boxed_slice();
+            let mut slots = empty_slots();
             for i in 0..SLOTS {
                 if bitmap[i / 8] & (1 << (i % 8)) != 0 {
                     let pa = pfn * PAGE_SIZE + 4 * i as u64;

@@ -158,12 +158,21 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// `Cache::last_line` when no line is known resident.
+const NO_LINE: u64 = u64::MAX;
+
 /// A physically-indexed cache level.
 #[derive(Clone, Debug)]
 pub struct Cache {
     params: CacheParams,
     inner: SetAssoc,
     line_shift: u32,
+    /// Line key of the most recent [`Cache::access`], or `NO_LINE` after
+    /// a flush or restore. Every access leaves its line resident and MRU
+    /// in its set, and only another access can displace it, so a repeat
+    /// access to this line is a hit that promotes nothing. Host-only:
+    /// never serialised.
+    last_line: u64,
     /// Access counters (public for experiment reporting).
     pub stats: CacheStats,
 }
@@ -189,6 +198,7 @@ impl Cache {
             params,
             inner: SetAssoc::new(ways, params.sets),
             line_shift,
+            last_line: NO_LINE,
             stats: CacheStats::default(),
         }
     }
@@ -198,6 +208,7 @@ impl Cache {
         self.params
     }
 
+    #[inline]
     fn line_key(&self, pa: u64) -> u64 {
         pa >> self.line_shift
     }
@@ -210,6 +221,7 @@ impl Cache {
     /// Accesses `pa`: returns hit/miss and fills the line on miss.
     pub fn access(&mut self, pa: u64) -> CacheOutcome {
         let key = self.line_key(pa);
+        self.last_line = key;
         if self.inner.touch(key) {
             self.stats.hits += 1;
             CacheOutcome::Hit
@@ -223,6 +235,17 @@ impl Cache {
         }
     }
 
+    /// When `pa` lies in the line the previous [`Cache::access`]
+    /// touched, counts the hit that access would count and returns true
+    /// without scanning the set (the line is resident and already MRU).
+    /// Otherwise does nothing and returns false.
+    #[inline]
+    pub fn hit_last_line(&mut self, pa: u64) -> bool {
+        let hit = self.line_key(pa) == self.last_line;
+        self.stats.hits += u64::from(hit);
+        hit
+    }
+
     /// Presence check without LRU update (for assertions in tests).
     pub fn contains(&self, pa: u64) -> bool {
         self.inner.probe(self.line_key(pa))
@@ -231,6 +254,7 @@ impl Cache {
     /// Empties the cache.
     pub fn flush(&mut self) {
         self.inner.flush();
+        self.last_line = NO_LINE;
     }
 
     /// Serialises resident lines (LRU order included) and counters.
@@ -253,6 +277,7 @@ impl Cache {
         &mut self,
         r: &mut pacman_telemetry::bin::Reader<'_>,
     ) -> Result<(), pacman_telemetry::bin::BinError> {
+        self.last_line = NO_LINE;
         self.inner.restore_state(r)?;
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;

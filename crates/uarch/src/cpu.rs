@@ -221,6 +221,7 @@ impl Cpu {
 
     /// Reads a register (XZR reads zero, SP reads the current EL's stack
     /// pointer).
+    #[inline]
     pub fn get(&self, r: Reg) -> u64 {
         match r.index() {
             31 => self.sp[self.el as usize],
@@ -230,6 +231,7 @@ impl Cpu {
     }
 
     /// Writes a register (writes to XZR are discarded).
+    #[inline]
     pub fn set(&mut self, r: Reg, v: u64) {
         match r.index() {
             31 => self.sp[self.el as usize] = v,

@@ -59,7 +59,9 @@ pub use config::{
     MachineConfig, Mitigation, SquashPolicy,
 };
 pub use cpu::{AccessKind, Cpu, El, Trap};
-pub use machine::{AccessOutcome, CacheHit, Machine, MachineStats, MemorySystem, Stop, TlbHit};
+pub use machine::{
+    AccessOutcome, CacheHit, FetchFrontStats, Machine, MachineStats, MemorySystem, Stop, TlbHit,
+};
 pub use mem::{FramePool, PhysMemory};
 pub use paging::{PageTables, Perms};
 pub use predict::{Bimodal, Btb, PredictStats, Rsb};

@@ -22,7 +22,7 @@ use pacman_qarma::{PacComputer, QarmaKey};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::block_cache::BlockCache;
+use crate::block_cache::{BlockCache, HeldFrame};
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::{ConfigError, ExecEngine, MachineConfig, Mitigation, SquashPolicy};
 use crate::cpu::{AccessKind, Cpu, El, SavedContext, Trap};
@@ -32,7 +32,7 @@ use crate::paging::{PageTables, Perms};
 use crate::predict::{Bimodal, Btb, PredictStats, Rsb};
 use crate::profiler::{ProfTimer, Profiler};
 use crate::timer::{Timers, TimingSource};
-use crate::tlb::{DataLookup, FetchLookup, FetchWorld, TlbHierarchy};
+use crate::tlb::{DataLookup, FetchEpoch, FetchLookup, FetchWorld, TlbHierarchy};
 use crate::trace::{SpecEvent, SpecTrace};
 use pacman_telemetry::{Histogram, Registry};
 
@@ -136,6 +136,7 @@ impl MemorySystem {
         }
     }
 
+    #[inline]
     fn world(el: El) -> FetchWorld {
         match el {
             El::El0 => FetchWorld::User,
@@ -174,6 +175,17 @@ impl MemorySystem {
                     self.latency.l1_hit + self.latency.l2_hit + self.latency.dram,
                 ),
             },
+        }
+    }
+
+    /// L1I fetch cycles for `pa`, skipping the set scan when `pa` is in
+    /// the line the previous L1I access touched.
+    #[inline]
+    fn cache_fetch_cycles(&mut self, pa: u64) -> u64 {
+        if self.l1i.hit_last_line(pa) {
+            self.latency.l1_hit
+        } else {
+            self.cache_fetch(pa).1
         }
     }
 
@@ -344,6 +356,70 @@ pub enum Stop {
     InstLimit,
 }
 
+/// How often the [`ExecEngine::Cached`] fetch front served a fetch
+/// (host-side diagnostics: not simulation state, never exported by
+/// [`Machine::export_telemetry`] nor written by [`Machine::save_state`]).
+#[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
+pub struct FetchFrontStats {
+    /// Fetches the front served whole: no canonical check, iTLB lookup,
+    /// permission check or block-cache lookup ran for them.
+    pub served: u64,
+    /// Fetches that took the full path instead.
+    pub refills: u64,
+}
+
+impl FetchFrontStats {
+    /// The share of cached-engine fetches the front served (0 before
+    /// the first fetch).
+    pub fn served_share(&self) -> f64 {
+        self.served as f64 / (self.served + self.refills).max(1) as f64
+    }
+}
+
+/// One way of the cached engine's fetch front: a page an architectural
+/// fetch translated, with what that fetch established about it. While
+/// the TLB hierarchy's iTLB epoch still reads `epoch`, a fetch from that
+/// page at that EL is an iTLB hit on the same, already-MRU entry and
+/// passes the same permission check, so the front serves it without
+/// repeating either (DESIGN.md §10, "The fetch front").
+#[derive(Copy, Clone, Debug)]
+struct FetchFront {
+    /// [`front_key`] of the page and EL; `NO_KEY` when invalid.
+    key: u64,
+    epoch: FetchEpoch,
+    /// Physical address of the page's frame.
+    frame: u64,
+    /// The frame's predecoded slot table, once the block cache has one.
+    held: HeldFrame,
+}
+
+/// A key no fetch can have (its low bits are not a page offset of 0 plus
+/// an EL).
+const NO_KEY: u64 = u64::MAX;
+
+/// Pages the fetch front holds at once, direct-mapped by vpn: enough
+/// for a syscall's user stub, vector and handler pages to stay
+/// validated across calls.
+const FRONT_WAYS: usize = 4;
+
+/// The front way `pc`'s page maps to.
+#[inline]
+fn front_way(pc: u64) -> usize {
+    (pc / PAGE_SIZE) as usize % FRONT_WAYS
+}
+
+/// The page VA of `pc`, upper bits included, with the EL in the
+/// (otherwise clear) low bit.
+#[inline]
+fn front_key(pc: u64, el: El) -> u64 {
+    (pc & !(PAGE_SIZE - 1)) | el as u64
+}
+
+impl FetchFront {
+    const INVALID: Self =
+        Self { key: NO_KEY, epoch: FetchEpoch::NONE, frame: 0, held: HeldFrame::NONE };
+}
+
 /// Execution statistics.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
 pub struct MachineStats {
@@ -448,6 +524,9 @@ pub struct Machine {
     /// Predecoded micro-op arena the [`ExecEngine::Cached`] dispatch path
     /// fetches from; unused (and empty) under `Interpreted`.
     block_cache: BlockCache,
+    /// Host-only fetch front of the cached engine (never serialised).
+    front: [FetchFront; FRONT_WAYS],
+    front_stats: FetchFrontStats,
     /// Memoised PAC computations keyed by (key value, canonical pointer,
     /// modifier). Keying on the key *value* makes invalidation on key
     /// writes unnecessary: a changed key never matches old entries. Only
@@ -523,6 +602,8 @@ impl Machine {
             cycles: 0,
             config,
             block_cache: BlockCache::new(),
+            front: [FetchFront::INVALID; FRONT_WAYS],
+            front_stats: FetchFrontStats::default(),
             pac_memo: HashMap::default(),
             pac_memo_hits: 0,
             pac_memo_misses: 0,
@@ -914,6 +995,7 @@ impl Machine {
         };
         self.vbar = r.u64()?;
         self.pending_spec_fault = None;
+        self.front = [FetchFront::INVALID; FRONT_WAYS];
         Ok(())
     }
 
@@ -1097,17 +1179,19 @@ impl Machine {
         let profiling = self.profiler.is_enabled();
         let step_start = self.cycles;
         let decode_timer = ProfTimer::start(profiling);
-        let (fetch_outcome, pa) =
-            self.mem.fetch_access(pc, el).map_err(|f| f.into_trap(pc, el, AccessKind::Fetch))?;
-        self.cycles += fetch_outcome.cycles;
-        // The engines are bit-identical: the cached path only skips the
-        // re-read + re-decode of the fetched word, never any simulated
-        // cost (timing was already charged by `fetch_access` above).
+        // The engines are bit-identical: the cached path only skips work
+        // whose result is already known, never any simulated cost.
         let inst = match self.config.engine {
-            ExecEngine::Cached => {
-                self.block_cache.fetch(pa, &mut self.mem.phys).ok_or(Trap::Decode { pc })?
-            }
+            ExecEngine::Cached => match self.fetch_front(pc, el) {
+                Some(inst) => inst,
+                None => self.fetch_refill(pc, el)?,
+            },
             ExecEngine::Interpreted => {
+                let (fetch_outcome, pa) = self
+                    .mem
+                    .fetch_access(pc, el)
+                    .map_err(|f| f.into_trap(pc, el, AccessKind::Fetch))?;
+                self.cycles += fetch_outcome.cycles;
                 decode(self.mem.phys.read_u32(pa)).map_err(|_| Trap::Decode { pc })?
             }
         };
@@ -1128,6 +1212,55 @@ impl Machine {
             exec_timer.elapsed_ns(),
         );
         out
+    }
+
+    /// The cached engine's fetch front: serves the instruction at `pc`
+    /// when the front has validated its page and the block cache holds
+    /// its predecoded slot, charging exactly what
+    /// [`MemorySystem::fetch_access`] plus [`BlockCache::fetch`] would
+    /// and moving exactly their counters. The iTLB hit is counted
+    /// without a lookup, an L1I access to the last-touched line without
+    /// a set scan, and the micro-op comes from the held slot table of
+    /// the page's frame. Returns `None`, having changed nothing, when
+    /// any of that does not hold; [`Machine::fetch_refill`] then takes
+    /// the full path.
+    #[inline]
+    fn fetch_front(&mut self, pc: u64, el: El) -> Option<Inst> {
+        let front = self.front[front_way(pc)];
+        if front_key(pc, el) != front.key || self.mem.tlbs.fetch_epoch() != front.epoch {
+            return None;
+        }
+        let pa = front.frame | (pc & (PAGE_SIZE - 1));
+        let inst = self.block_cache.fetch_held(front.held, pa, &self.mem.phys)?;
+        self.mem.tlbs.count_itlb_hit(MemorySystem::world(el));
+        self.cycles += self.mem.cache_fetch_cycles(pa);
+        self.front_stats.served += 1;
+        Some(inst)
+    }
+
+    /// The full cached-engine fetch, which also re-validates the front
+    /// for the page fetched from.
+    #[inline(never)]
+    fn fetch_refill(&mut self, pc: u64, el: El) -> Result<Inst, Trap> {
+        self.front_stats.refills += 1;
+        let (outcome, pa) =
+            self.mem.fetch_access(pc, el).map_err(|f| f.into_trap(pc, el, AccessKind::Fetch))?;
+        self.cycles += outcome.cycles;
+        let inst = self.block_cache.fetch(pa, &mut self.mem.phys);
+        // Whatever level translated it, the page's entry is now the MRU
+        // way of its iTLB set, as of the current epoch.
+        self.front[front_way(pc)] = FetchFront {
+            key: front_key(pc, el),
+            epoch: self.mem.tlbs.fetch_epoch(),
+            frame: pa & !(PAGE_SIZE - 1),
+            held: self.block_cache.hold(pa),
+        };
+        inst.ok_or(Trap::Decode { pc })
+    }
+
+    /// How often the cached engine's fetch front served a fetch.
+    pub fn fetch_front_stats(&self) -> FetchFrontStats {
+        self.front_stats
     }
 
     fn exec(&mut self, pc: u64, el: El, inst: Inst) -> Result<Option<Stop>, Trap> {
@@ -1357,8 +1490,7 @@ impl Machine {
                 } else {
                     self.predict_stats.rsb_underflows += 1;
                 }
-                let predicted = from_rsb.or_else(|| self.btb.predict(pc));
-                self.btb.train(pc, target);
+                let predicted = from_rsb.or(self.btb.train(pc, target));
                 if let Some(p) = predicted {
                     if p != target {
                         self.predict_stats.ret_mispredicts += 1;
@@ -1555,8 +1687,7 @@ impl Machine {
     }
 
     fn conditional_branch(&mut self, pc: u64, el: El, taken: bool, offset: i32) {
-        let predicted = self.bimodal.predict(pc);
-        self.bimodal.train(pc, taken);
+        let predicted = self.bimodal.train(pc, taken);
         let target = pc.wrapping_add_signed(4 * i64::from(offset));
         let fallthrough = pc.wrapping_add(4);
         if predicted != taken {
@@ -1571,8 +1702,7 @@ impl Machine {
     }
 
     fn indirect_branch(&mut self, pc: u64, el: El, target: u64) {
-        let predicted = self.btb.predict(pc);
-        self.btb.train(pc, target);
+        let predicted = self.btb.train(pc, target);
         if let Some(p) = predicted {
             self.predict_stats.btb_hits += 1;
             if p != target {

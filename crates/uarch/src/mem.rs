@@ -136,6 +136,7 @@ impl PhysMemory {
     /// Generation counter bumped by every write that lands in a
     /// registered code frame. A block-cache entry decoded at generation
     /// `g` is valid iff the counter still reads `g`.
+    #[inline]
     pub fn code_write_gen(&self) -> u64 {
         self.code_write_gen
     }

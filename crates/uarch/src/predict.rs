@@ -46,9 +46,14 @@ impl Bimodal {
         self.table.get(&pc).copied().unwrap_or(Counter2::WEAKLY_NOT_TAKEN).predict_taken()
     }
 
-    /// Trains the counter with the resolved direction.
-    pub fn train(&mut self, pc: u64, taken: bool) {
-        self.table.entry(pc).or_insert(Counter2::WEAKLY_NOT_TAKEN).train(taken);
+    /// Trains the counter with the resolved direction and returns the
+    /// direction [`Bimodal::predict`] gave before training — one table
+    /// probe for the predict-then-train a resolving branch performs.
+    pub fn train(&mut self, pc: u64, taken: bool) -> bool {
+        let counter = self.table.entry(pc).or_insert(Counter2::WEAKLY_NOT_TAKEN);
+        let predicted = counter.predict_taken();
+        counter.train(taken);
+        predicted
     }
 
     /// Forgets everything (used between independent experiments).
@@ -112,9 +117,10 @@ impl Btb {
         self.table.get(&pc).copied()
     }
 
-    /// Records the resolved target.
-    pub fn train(&mut self, pc: u64, target: u64) {
-        self.table.insert(pc, target);
+    /// Records the resolved target and returns the target
+    /// [`Btb::predict`] gave before (one table probe).
+    pub fn train(&mut self, pc: u64, target: u64) -> Option<u64> {
+        self.table.insert(pc, target)
     }
 
     /// Forgets everything.
@@ -316,6 +322,24 @@ mod tests {
         p.train(0x40, false);
         p.train(0x40, false);
         assert!(!p.predict(0x40), "repeated not-taken retrains the counter");
+    }
+
+    #[test]
+    fn training_returns_the_prediction_it_replaces() {
+        let mut p = Bimodal::new();
+        let mut shadow = Bimodal::new();
+        for (i, taken) in
+            [true, true, false, true, false, false, false, true].into_iter().enumerate()
+        {
+            let pc = 0x40 + 4 * (i as u64 % 2);
+            let before = shadow.predict(pc);
+            shadow.train(pc, taken);
+            assert_eq!(p.train(pc, taken), before, "step {i}");
+        }
+        let mut b = Btb::new();
+        assert_eq!(b.train(0x100, 0xAAAA), None);
+        assert_eq!(b.train(0x100, 0xBBBB), Some(0xAAAA));
+        assert_eq!(b.predict(0x100), Some(0xBBBB));
     }
 
     #[test]

@@ -291,6 +291,7 @@ pub(crate) struct ProfTimer(Option<Instant>);
 
 impl ProfTimer {
     /// Samples the clock only when `enabled`.
+    #[inline]
     pub(crate) fn start(enabled: bool) -> Self {
         Self(if enabled { Some(Instant::now()) } else { None })
     }

@@ -14,6 +14,8 @@
 //! an iTLB is inserted into the dTLB (becoming visible to loads), while an
 //! entry resident only in an iTLB is invisible to the load/store port.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::paging::Perms;
 
 /// Geometry of one TLB structure.
@@ -87,6 +89,13 @@ impl Tlb {
     /// Looks up a translation, promoting it to MRU on hit.
     #[inline]
     pub fn lookup(&mut self, vpn: u64) -> Option<TlbEntry> {
+        self.lookup_promoting(vpn).map(|(e, _)| e)
+    }
+
+    /// [`Tlb::lookup`], also saying whether the hit moved the entry (it
+    /// was not already the MRU way).
+    #[inline]
+    pub(crate) fn lookup_promoting(&mut self, vpn: u64) -> Option<(TlbEntry, bool)> {
         let set = self.set_of(vpn);
         let base = set * self.params.ways;
         let n = self.occ[set] as usize;
@@ -94,13 +103,13 @@ impl Tlb {
         // Re-touching the MRU way (consecutive accesses to one page) needs
         // no promotion.
         match live.first() {
-            Some(e) if e.vpn == vpn => Some(*e),
+            Some(e) if e.vpn == vpn => Some((*e, false)),
             _ => {
                 let pos = live.iter().position(|e| e.vpn == vpn)?;
                 let hit = live[pos];
                 live.copy_within(..pos, 1);
                 live[0] = hit;
-                Some(hit)
+                Some((hit, true))
             }
         }
     }
@@ -311,8 +320,35 @@ pub struct TlbStats {
     pub itlb_to_dtlb_migrations: u64,
 }
 
+/// Identity of one [`TlbHierarchy`]'s iTLB contents: the hierarchy's
+/// instance id plus a generation bumped whenever either private iTLB
+/// changes — a fill, a hit that promotes an entry to MRU, a flush, a
+/// restore. Two equal epochs read from the same live hierarchy mean
+/// neither iTLB changed in between, so every entry that was the MRU way
+/// of its set still is. The instance id (unique per construction and
+/// per clone) keeps an epoch taken from one hierarchy from matching a
+/// replacement whose generation happens to read the same. Host-only:
+/// never serialised.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+pub(crate) struct FetchEpoch {
+    instance: u64,
+    generation: u64,
+}
+
+/// Source of [`FetchEpoch`] instance ids (0 is [`FetchEpoch::NONE`]'s).
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+impl FetchEpoch {
+    /// Matches no hierarchy's epoch.
+    pub(crate) const NONE: Self = Self { instance: 0, generation: 0 };
+
+    fn fresh() -> Self {
+        Self { instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed), generation: 0 }
+    }
+}
+
 /// The full Figure 6 hierarchy.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TlbHierarchy {
     itlb_user: Tlb,
     itlb_kernel: Tlb,
@@ -325,12 +361,31 @@ pub struct TlbHierarchy {
     /// so it is invisible to the simulation; any iTLB insert or flush
     /// clears it.
     fetch_fast: Option<(FetchWorld, u64, TlbEntry)>,
+    /// Moved on by every iTLB change (see [`FetchEpoch`]).
+    fetch_epoch: FetchEpoch,
     /// One-entry data-side fast path with the same contract as
     /// `fetch_fast`: valid only while the entry is the dTLB set's MRU
     /// way; any dTLB insert or flush clears it.
     data_fast: Option<(u64, TlbEntry)>,
     /// Counters (public for experiment reporting).
     pub stats: TlbStats,
+}
+
+impl Clone for TlbHierarchy {
+    /// A copy with a fresh [`FetchEpoch`] instance, so an epoch taken
+    /// from either side never vouches for the other's iTLBs.
+    fn clone(&self) -> Self {
+        Self {
+            itlb_user: self.itlb_user.clone(),
+            itlb_kernel: self.itlb_kernel.clone(),
+            dtlb: self.dtlb.clone(),
+            l2: self.l2.clone(),
+            fetch_fast: self.fetch_fast,
+            fetch_epoch: FetchEpoch::fresh(),
+            data_fast: self.data_fast,
+            stats: self.stats,
+        }
+    }
 }
 
 impl TlbHierarchy {
@@ -342,9 +397,25 @@ impl TlbHierarchy {
             dtlb: Tlb::new(dtlb),
             l2: Tlb::new(l2),
             fetch_fast: None,
+            fetch_epoch: FetchEpoch::fresh(),
             data_fast: None,
             stats: TlbStats::default(),
         }
+    }
+
+    /// Records an iTLB change, moving the epoch on.
+    fn itlb_changed(&mut self) {
+        self.fetch_epoch.generation += 1;
+    }
+
+    /// The current iTLB epoch. While it is unchanged, a
+    /// [`TlbHierarchy::lookup_fetch`] of any world and vpn that returned
+    /// a translation at or after this epoch is again an iTLB hit on the
+    /// same entry, already MRU, that only moves the hit counters
+    /// ([`TlbHierarchy::count_itlb_hit`]).
+    #[inline]
+    pub(crate) fn fetch_epoch(&self) -> FetchEpoch {
+        self.fetch_epoch
     }
 
     fn itlb_mut(&mut self, world: FetchWorld) -> &mut Tlb {
@@ -414,8 +485,11 @@ impl TlbHierarchy {
                 return FetchLookup::ItlbHit(e);
             }
         }
-        if let Some(e) = self.itlb_mut(world).lookup(vpn) {
+        if let Some((e, promoted)) = self.itlb_mut(world).lookup_promoting(vpn) {
             self.count_itlb_hit(world);
+            if promoted {
+                self.itlb_changed();
+            }
             self.fetch_fast = Some((world, vpn, e));
             return FetchLookup::ItlbHit(e);
         }
@@ -441,8 +515,9 @@ impl TlbHierarchy {
         self.fill_itlb_with_migration(world, entry);
     }
 
+    /// The counter updates of an iTLB hit, and nothing else.
     #[inline]
-    fn count_itlb_hit(&mut self, world: FetchWorld) {
+    pub(crate) fn count_itlb_hit(&mut self, world: FetchWorld) {
         self.stats.itlb_hits += 1;
         match world {
             FetchWorld::User => self.stats.itlb_user_hits += 1,
@@ -456,6 +531,7 @@ impl TlbHierarchy {
         // The insert reorders the set (and may replace the cached entry's
         // pfn/perms under the same vpn), so the fetch fast path dies.
         self.fetch_fast = None;
+        self.itlb_changed();
         let victim = self.itlb_mut(world).insert(entry);
         match world {
             FetchWorld::User => {
@@ -493,6 +569,7 @@ impl TlbHierarchy {
     /// Full hierarchy invalidate.
     pub fn flush(&mut self) {
         self.fetch_fast = None;
+        self.itlb_changed();
         self.data_fast = None;
         self.itlb_user.flush();
         self.itlb_kernel.flush();
@@ -547,6 +624,7 @@ impl TlbHierarchy {
         r: &mut pacman_telemetry::bin::Reader<'_>,
     ) -> Result<(), pacman_telemetry::bin::BinError> {
         self.fetch_fast = None;
+        self.itlb_changed();
         self.data_fast = None;
         self.itlb_user.restore_state(r)?;
         self.itlb_kernel.restore_state(r)?;
@@ -739,6 +817,36 @@ mod tests {
         );
         let mut r = pacman_telemetry::bin::Reader::new(&bytes);
         assert!(wrong.restore_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn the_fetch_epoch_moves_exactly_when_an_itlb_changes() {
+        let mut h = small_hierarchy();
+        let e0 = h.fetch_epoch();
+        h.fill_fetch(FetchWorld::Kernel, entry(0));
+        h.fill_fetch(FetchWorld::Kernel, entry(4)); // same set, now MRU
+        let filled = h.fetch_epoch();
+        assert_ne!(filled, e0, "fills change the iTLB");
+        // MRU re-hits (fast path or scan) and data-side traffic leave
+        // the iTLBs as they were.
+        let _ = h.lookup_fetch(FetchWorld::Kernel, 4);
+        let _ = h.lookup_fetch(FetchWorld::Kernel, 4);
+        h.fill_data(entry(9));
+        let _ = h.lookup_data(9);
+        assert_eq!(h.fetch_epoch(), filled);
+        // Promoting vpn 0 over vpn 4 reorders the set.
+        let _ = h.lookup_fetch(FetchWorld::Kernel, 0);
+        let promoted = h.fetch_epoch();
+        assert_ne!(promoted, filled);
+        h.flush();
+        assert_ne!(h.fetch_epoch(), promoted);
+        // A clone never shares an epoch with its original, whatever
+        // either does next.
+        let mut copy = h.clone();
+        assert_ne!(copy.fetch_epoch(), h.fetch_epoch());
+        h.flush();
+        copy.flush();
+        assert_ne!(copy.fetch_epoch(), h.fetch_epoch());
     }
 
     #[test]
