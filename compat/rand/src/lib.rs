@@ -38,21 +38,6 @@ pub struct CoreRng {
 }
 
 impl CoreRng {
-    /// The raw xoshiro256++ state words (for snapshot/restore).
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from raw state words previously returned by
-    /// [`CoreRng::state`]; an all-zero state (a fixed point) is nudged
-    /// to a nonzero one.
-    pub fn from_state(mut s: [u64; 4]) -> Self {
-        if s == [0; 4] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
-        }
-        Self { s }
-    }
-
     fn from_seed(seed: u64) -> Self {
         let mut sm = seed;
         let mut s = [0u64; 4];
@@ -228,21 +213,6 @@ pub mod rngs {
     /// `rand::rngs::SmallRng`).
     #[derive(Clone, Debug)]
     pub struct SmallRng(CoreRng);
-
-    impl SmallRng {
-        /// The raw generator state words, so machine snapshots can
-        /// capture an RNG mid-stream (extension beyond upstream `rand`,
-        /// which reaches the same via `Serialize` on the rng type).
-        pub fn state(&self) -> [u64; 4] {
-            self.0.state()
-        }
-
-        /// Rebuilds a generator positioned exactly where
-        /// [`SmallRng::state`] was taken.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            Self(CoreRng::from_state(s))
-        }
-    }
 
     impl SeedableRng for SmallRng {
         fn seed_from_u64(seed: u64) -> Self {

@@ -546,11 +546,8 @@ pub fn all() -> Vec<Claim> {
         c("service_load", "drained_clean", "graceful drain after the load", Bool(true)),
         // ---- snapshot (durable campaigns, DESIGN.md §13) ---------------
         // Not a paper table: the durability gate for long campaigns.
-        c("snapshot", "system_snapshot_us", "System snapshot latency", Present),
-        c("snapshot", "system_restore_us", "System restore latency", Present),
         c("snapshot", "checkpoint_write_us", "daemon checkpoint write latency", Present),
         c("snapshot", "resume_restore_us", "daemon checkpoint load latency", Present),
-        c("snapshot", "roundtrip_ok", "a restored System is bit-identical", Bool(true)),
         c("snapshot", "checkpoints_written", "periodic checkpoints cut mid-campaign", AtLeast(1.0)),
         c(
             "snapshot",

@@ -24,8 +24,7 @@
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::system::{System, SystemConfig};
 
@@ -34,28 +33,9 @@ use crate::system::{System, SystemConfig};
 /// a small cap bounds memory without hurting the hit rate.
 const POOL_CAP: usize = 3;
 
-/// Maximum donated snapshot blobs retained for checkpointing, and
-/// maximum seed blobs consumed at resume. Matches the order of worker
-/// threads a daemon runs; more would only duplicate interchangeable
-/// machines.
-const DONATION_CAP: usize = 4;
-
 static FRESH_BOOTS: AtomicU64 = AtomicU64::new(0);
 static REBOOTS: AtomicU64 = AtomicU64::new(0);
 static FRESH_FRAMES: AtomicU64 = AtomicU64::new(0);
-static SEEDED_BOOTS: AtomicU64 = AtomicU64::new(0);
-
-/// When set, parking a [`PooledSystem`] also donates a serialized
-/// [`System::snapshot`] into the global donation store (until the
-/// store is full). Off by default: campaigns that never checkpoint
-/// never pay for serialization.
-static DONATE: AtomicBool = AtomicBool::new(false);
-
-/// Donated snapshot blobs, drained by the daemon's checkpoint writer.
-static DONATIONS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-
-/// Seed blobs from a restored checkpoint, consumed on pool misses.
-static SEEDS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
 
 thread_local! {
     static POOL: RefCell<Vec<(SystemConfig, System)>> = const { RefCell::new(Vec::new()) };
@@ -81,9 +61,6 @@ pub struct PoolStats {
     /// Physical frames allocated fresh instead of recycled, summed at
     /// lease return. Zero deltas here are the allocator-free claim.
     pub fresh_frames: u64,
-    /// Pool misses served by restoring a checkpoint seed blob instead
-    /// of booting from nothing (see [`seed`]).
-    pub seeded_boots: u64,
 }
 
 /// Snapshot of the global counters. Benches measure deltas across a
@@ -94,52 +71,6 @@ pub fn stats() -> PoolStats {
         fresh_boots: FRESH_BOOTS.load(Ordering::Relaxed),
         reboots: REBOOTS.load(Ordering::Relaxed),
         fresh_frames: FRESH_FRAMES.load(Ordering::Relaxed),
-        seeded_boots: SEEDED_BOOTS.load(Ordering::Relaxed),
-    }
-}
-
-/// Turns snapshot donation on or off process-wide. While armed, every
-/// system parked back into a thread-local pool also serializes itself
-/// into the donation store (until [`DONATION_CAP`] blobs are held), so
-/// a checkpoint writer on *another* thread can persist warm machines it
-/// could never reach through the thread-local pools.
-pub fn arm_donation(on: bool) {
-    DONATE.store(on, Ordering::Relaxed);
-    if !on {
-        DONATIONS.lock().expect("donation store").clear();
-    }
-}
-
-/// Drains the donated snapshot blobs collected since the last call.
-/// The daemon's checkpoint writer embeds them in the snapshot file so
-/// a restarted daemon resumes with warm machines.
-#[must_use]
-pub fn take_donations() -> Vec<Vec<u8>> {
-    std::mem::take(&mut *DONATIONS.lock().expect("donation store"))
-}
-
-/// Installs checkpoint seed blobs. The next [`lease`] misses (on any
-/// thread) restore a seed via [`System::restore`] and reboot it into
-/// the requested config instead of booting from nothing — recycling the
-/// checkpointed machine's frames. Blobs that fail to restore (e.g. a
-/// snapshot from an older build) are silently discarded: seeding is a
-/// warm-up hint, never load-bearing.
-pub fn seed(blobs: Vec<Vec<u8>>) {
-    let mut seeds = SEEDS.lock().expect("seed store");
-    seeds.extend(blobs);
-    let excess = seeds.len().saturating_sub(DONATION_CAP);
-    if excess > 0 {
-        seeds.drain(..excess);
-    }
-}
-
-/// Pops one seed blob and restores it, skipping any that fail.
-fn take_seed_system() -> Option<System> {
-    loop {
-        let blob = SEEDS.lock().expect("seed store").pop()?;
-        if let Ok(sys) = System::restore(&blob) {
-            return Some(sys);
-        }
     }
 }
 
@@ -166,17 +97,10 @@ pub fn lease(config: SystemConfig) -> PooledSystem {
             sys.reboot_into(config);
             sys
         }
-        None => match take_seed_system() {
-            Some(mut sys) => {
-                SEEDED_BOOTS.fetch_add(1, Ordering::Relaxed);
-                sys.reboot_into(config);
-                sys
-            }
-            None => {
-                FRESH_BOOTS.fetch_add(1, Ordering::Relaxed);
-                System::boot(config)
-            }
-        },
+        None => {
+            FRESH_BOOTS.fetch_add(1, Ordering::Relaxed);
+            System::boot(config)
+        }
     };
     PooledSystem { slot: Some((key, sys)) }
 }
@@ -209,12 +133,6 @@ impl Drop for PooledSystem {
         // `fresh_alloc_count` is per boot generation: a warm reboot that
         // recycled every frame contributes zero here.
         FRESH_FRAMES.fetch_add(sys.machine.mem.phys.fresh_alloc_count(), Ordering::Relaxed);
-        if DONATE.load(Ordering::Relaxed) {
-            let mut donations = DONATIONS.lock().expect("donation store");
-            if donations.len() < DONATION_CAP {
-                donations.push(sys.snapshot());
-            }
-        }
         POOL.with(|p| {
             let mut p = p.borrow_mut();
             if p.len() >= POOL_CAP {
@@ -235,17 +153,8 @@ mod tests {
         cfg
     }
 
-    /// The donation/seed stores and counters are process-global, so the
-    /// pool tests must not interleave: a concurrently-seeded lease
-    /// would turn another test's expected fresh boot into a seeded one.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn a_pooled_reboot_recycles_every_frame() {
-        let _serial = serial();
         clear_thread_pool();
         let first = lease(cfg(7, 1));
         assert!(first.machine.mem.phys.fresh_alloc_count() > 0, "cold boot allocates");
@@ -261,7 +170,6 @@ mod tests {
 
     #[test]
     fn a_rebooted_lease_matches_a_fresh_boot() {
-        let _serial = serial();
         clear_thread_pool();
         drop(lease(cfg(11, 1)));
         let mut pooled = lease(cfg(11, 9));
@@ -276,7 +184,6 @@ mod tests {
 
     #[test]
     fn distinct_keys_never_share_a_parked_system() {
-        let _serial = serial();
         clear_thread_pool();
         drop(lease(cfg(3, 1)));
         // Different kernel seed => different key => fresh boot.
@@ -290,7 +197,6 @@ mod tests {
 
     #[test]
     fn the_cap_evicts_the_oldest_entry() {
-        let _serial = serial();
         clear_thread_pool();
         for seed in 0..=POOL_CAP as u64 {
             drop(lease(cfg(100 + seed, 1)));
@@ -304,42 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn armed_pools_donate_snapshots_that_seed_future_leases() {
-        let _serial = serial();
-        clear_thread_pool();
-        arm_donation(true);
-        drop(lease(cfg(31, 1)));
-        let donations = take_donations();
-        arm_donation(false);
-        assert!(!donations.is_empty(), "an armed park donates a snapshot");
-
-        // A different key (pool miss) served from the seed store must
-        // behave exactly like a fresh boot, minus the host allocation.
-        clear_thread_pool();
-        let before = stats();
-        seed(donations);
-        let mut seeded = lease(cfg(32, 5));
-        let mut fresh = System::boot(cfg(32, 5));
-        let set = fresh.pick_quiet_dtlb_set();
-        let (st, ft) = (seeded.alloc_target(set), fresh.alloc_target(set));
-        assert_eq!(st, ft);
-        assert_eq!(seeded.true_pac(st), fresh.true_pac(ft));
-        assert_eq!(seeded.machine.cycles, fresh.machine.cycles, "seeded boot is cycle-identical");
-        assert_eq!(stats().seeded_boots, before.seeded_boots + 1);
-    }
-
-    #[test]
-    fn garbage_seeds_are_discarded_and_fall_back_to_fresh_boots() {
-        let _serial = serial();
-        clear_thread_pool();
-        seed(vec![vec![0xFF; 64], Vec::new()]);
-        let sys = lease(cfg(41, 1));
-        assert!(sys.machine.mem.phys.fresh_alloc_count() > 0, "fell back to a fresh boot");
-    }
-
-    #[test]
     fn counters_only_grow() {
-        let _serial = serial();
         let before = stats();
         clear_thread_pool();
         drop(lease(cfg(21, 1)));

@@ -3,12 +3,8 @@
 use pacman_isa::PacKey;
 use pacman_kernel::kext::{CppKext, GadgetKext, PmcKext};
 use pacman_kernel::{layout, Kernel};
-use pacman_telemetry::bin::{BinError, Reader, Writer};
 use pacman_telemetry::{Registry, Snapshot};
-use pacman_uarch::{
-    CoreKind, ExecEngine, FramePool, Machine, MachineConfig, Mitigation, Perms, SquashPolicy,
-    TimingSource,
-};
+use pacman_uarch::{FramePool, Machine, MachineConfig, Perms, TimingSource};
 
 /// Configuration for [`System::boot`].
 ///
@@ -201,196 +197,6 @@ impl System {
         let hot = self.hot_dtlb_sets();
         (0..256u64).find(|s| !hot.contains(s)).expect("fewer than 256 hot sets") as usize
     }
-
-    /// Serialises the *entire* mutable platform state — configuration,
-    /// machine (registers, physical memory, caches, TLBs, predictors,
-    /// block cache, PAC memo, RNG position), kernel bookkeeping, the
-    /// attack-level telemetry registry and the user-VA bump allocator —
-    /// into a self-describing byte blob. [`System::restore`] on the
-    /// result yields a system that continues *bit-identically* to this
-    /// one: same cycles, same measurements, same RNG draws, same
-    /// telemetry export.
-    ///
-    /// The blob carries a format version but no checksum; durable
-    /// consumers (the daemon's snapshot files) wrap it in their own
-    /// checksummed envelope.
-    ///
-    /// # Panics
-    ///
-    /// If called while a speculative fault is pending delivery, i.e.
-    /// mid-instruction. Snapshot only at instruction boundaries (any
-    /// point where the driving loop owns control).
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u16(SYSTEM_SNAPSHOT_VERSION);
-        save_config(&self.config, &mut w);
-        w.u64(self.next_user_va);
-        self.telemetry.save_bin(&mut w);
-        self.machine.save_state(&mut w);
-        self.kernel.save_state(&mut w);
-        w.into_bytes()
-    }
-
-    /// Rebuilds a [`System`] from a [`System::snapshot`] blob.
-    ///
-    /// Restore is "boot plus overlay": the embedded configuration boots
-    /// a fresh platform (so kexts, layout and ground truth are rebuilt
-    /// by exactly the code that built them originally), then the saved
-    /// mutable state is laid over it. Any truncation, version mismatch
-    /// or geometry disagreement is a typed [`BinError`] — never a panic.
-    pub fn restore(bytes: &[u8]) -> Result<Self, BinError> {
-        Self::restore_with_pool(bytes, FramePool::default())
-    }
-
-    /// [`System::restore`] recycling physical frames from `pool`, for
-    /// restore paths that already hold a retired machine's frames.
-    pub fn restore_with_pool(bytes: &[u8], pool: FramePool) -> Result<Self, BinError> {
-        let mut r = Reader::new(bytes);
-        let version = r.u16()?;
-        if version != SYSTEM_SNAPSHOT_VERSION {
-            return Err(BinError::Corrupt(format!(
-                "system snapshot version {version} (expected {SYSTEM_SNAPSHOT_VERSION})"
-            )));
-        }
-        let config = load_config(&mut r)?;
-        config
-            .machine
-            .validate()
-            .map_err(|e| BinError::Corrupt(format!("snapshot config invalid: {e}")))?;
-        let next_user_va = r.u64()?;
-        let telemetry = Registry::load_bin(&mut r)?;
-        let mut sys = Self::boot_with_pool(config, pool);
-        sys.machine.restore_state(&mut r)?;
-        sys.kernel.restore_state(&mut r)?;
-        if !r.is_done() {
-            return Err(BinError::Corrupt(format!(
-                "{} trailing bytes after system snapshot",
-                r.remaining()
-            )));
-        }
-        sys.next_user_va = next_user_va;
-        sys.telemetry = telemetry;
-        Ok(sys)
-    }
-}
-
-/// Format version of the [`System::snapshot`] blob. Bump on any layout
-/// change; [`System::restore`] rejects mismatches with a typed error.
-pub const SYSTEM_SNAPSHOT_VERSION: u16 = 1;
-
-fn save_config(config: &SystemConfig, w: &mut Writer) {
-    let m = &config.machine;
-    w.u8(match m.core {
-        CoreKind::PCore => 0,
-        CoreKind::ECore => 1,
-    });
-    w.u64(m.seed);
-    w.u32(m.speculation_window);
-    w.u8(match m.squash {
-        SquashPolicy::Eager => 0,
-        SquashPolicy::Lazy => 1,
-    });
-    w.u8(match m.mitigation {
-        Mitigation::None => 0,
-        Mitigation::FenceAfterAut => 1,
-        Mitigation::NonSpeculativeAut => 2,
-        Mitigation::TaintAutOutputs => 3,
-        Mitigation::DelayOnMiss => 4,
-    });
-    let l = &m.latency;
-    for field in [
-        l.l1_hit,
-        l.l2_hit,
-        l.dram,
-        l.l2_tlb_hit,
-        l.walk,
-        l.measure_overhead,
-        l.mispredict_penalty,
-        l.fence,
-        l.alu,
-        l.syscall_transition,
-        l.noise,
-        l.fault_spike,
-    ] {
-        w.u64(field);
-    }
-    w.u64(m.clock_hz);
-    w.u64(m.system_counter_hz);
-    w.f64(m.os_noise);
-    w.bool(m.bugs.leak_squashed_registers);
-    w.bool(m.bugs.commit_suppressed_faults);
-    w.bool(m.profile);
-    w.u8(match m.engine {
-        ExecEngine::Cached => 0,
-        ExecEngine::Interpreted => 1,
-    });
-    w.u64(config.kernel_seed);
-    w.u8(match config.timing {
-        TimingSource::Pmc0 => 0,
-        TimingSource::MultiThread => 1,
-        TimingSource::SystemCounter => 2,
-    });
-}
-
-fn load_config(r: &mut Reader<'_>) -> Result<SystemConfig, BinError> {
-    let mut m = MachineConfig {
-        core: match r.u8()? {
-            0 => CoreKind::PCore,
-            1 => CoreKind::ECore,
-            b => return Err(BinError::Corrupt(format!("unknown core kind {b}"))),
-        },
-        seed: r.u64()?,
-        speculation_window: r.u32()?,
-        squash: match r.u8()? {
-            0 => SquashPolicy::Eager,
-            1 => SquashPolicy::Lazy,
-            b => return Err(BinError::Corrupt(format!("unknown squash policy {b}"))),
-        },
-        mitigation: match r.u8()? {
-            0 => Mitigation::None,
-            1 => Mitigation::FenceAfterAut,
-            2 => Mitigation::NonSpeculativeAut,
-            3 => Mitigation::TaintAutOutputs,
-            4 => Mitigation::DelayOnMiss,
-            b => return Err(BinError::Corrupt(format!("unknown mitigation {b}"))),
-        },
-        ..MachineConfig::default()
-    };
-    for field in [
-        &mut m.latency.l1_hit,
-        &mut m.latency.l2_hit,
-        &mut m.latency.dram,
-        &mut m.latency.l2_tlb_hit,
-        &mut m.latency.walk,
-        &mut m.latency.measure_overhead,
-        &mut m.latency.mispredict_penalty,
-        &mut m.latency.fence,
-        &mut m.latency.alu,
-        &mut m.latency.syscall_transition,
-        &mut m.latency.noise,
-        &mut m.latency.fault_spike,
-    ] {
-        *field = r.u64()?;
-    }
-    m.clock_hz = r.u64()?;
-    m.system_counter_hz = r.u64()?;
-    m.os_noise = r.f64()?;
-    m.bugs.leak_squashed_registers = r.bool()?;
-    m.bugs.commit_suppressed_faults = r.bool()?;
-    m.profile = r.bool()?;
-    m.engine = match r.u8()? {
-        0 => ExecEngine::Cached,
-        1 => ExecEngine::Interpreted,
-        b => return Err(BinError::Corrupt(format!("unknown exec engine {b}"))),
-    };
-    let kernel_seed = r.u64()?;
-    let timing = match r.u8()? {
-        0 => TimingSource::Pmc0,
-        1 => TimingSource::MultiThread,
-        2 => TimingSource::SystemCounter,
-        b => return Err(BinError::Corrupt(format!("unknown timing source {b}"))),
-    };
-    Ok(SystemConfig { machine: m, kernel_seed, timing })
 }
 
 #[cfg(test)]
@@ -492,86 +298,5 @@ mod tests {
         let p1 = sys.true_pac(t);
         let p2 = sys.true_pac(t);
         assert_eq!(p1, p2);
-    }
-
-    /// Drives a system through a slice of "campaign": gadget syscalls,
-    /// attack-level telemetry, user allocations.
-    fn campaign_step(sys: &mut System, rounds: usize) {
-        for i in 0..rounds {
-            sys.kernel.syscall(&mut sys.machine, sys.gadget.data_gadget, &[0, 0, 1]).unwrap();
-            sys.telemetry.incr("test.rounds");
-            sys.telemetry.observe("test.cycles", sys.machine.cycles + i as u64);
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_continues_bit_identically() {
-        let mut cfg = SystemConfig::default();
-        cfg.machine.seed = 0x5EED_0001;
-        cfg.kernel_seed = 0xFACE;
-
-        // Control: the same campaign run without interruption.
-        let mut control = System::boot(cfg.clone());
-        let mut live = System::boot(cfg);
-        for sys in [&mut control, &mut live] {
-            sys.telemetry.set_enabled(true);
-            let _ = sys.alloc_target(5);
-            let _ = sys.alloc_user_region(3);
-            campaign_step(sys, 4);
-        }
-
-        // Interrupt `live` mid-campaign, shuttle it through bytes.
-        let blob = live.snapshot();
-        drop(live);
-        let mut restored = System::restore(&blob).expect("snapshot restores");
-
-        for sys in [&mut control, &mut restored] {
-            campaign_step(sys, 4);
-        }
-
-        assert_eq!(restored.machine.cycles, control.machine.cycles, "cycle-identical");
-        assert_eq!(
-            restored.machine.cpu.regs, control.machine.cpu.regs,
-            "architectural state identical"
-        );
-        assert_eq!(
-            restored.telemetry_snapshot(),
-            control.telemetry_snapshot(),
-            "attack-level + machine telemetry identical"
-        );
-        assert_eq!(
-            restored.alloc_user_region(1),
-            control.alloc_user_region(1),
-            "user VA allocator resumes where it left off"
-        );
-        let t = restored.alloc_target(7);
-        assert_eq!(restored.true_pac(t), control.true_pac(t), "ground truth survives");
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_damage_with_typed_errors() {
-        let sys = System::boot(SystemConfig::default());
-        let blob = sys.snapshot();
-
-        // Truncation at any prefix is an error, never a panic.
-        for cut in [0, 1, 2, blob.len() / 3, blob.len() / 2, blob.len() - 1] {
-            assert!(System::restore(&blob[..cut]).is_err(), "cut at {cut} must fail");
-        }
-
-        // Wrong format version.
-        let mut bad = blob.clone();
-        bad[0] ^= 0xFF;
-        match System::restore(&bad) {
-            Err(BinError::Corrupt(msg)) => assert!(msg.contains("version"), "got: {msg}"),
-            other => panic!("expected version error, got {other:?}"),
-        }
-
-        // Trailing garbage.
-        let mut long = blob.clone();
-        long.extend_from_slice(&[0u8; 7]);
-        match System::restore(&long) {
-            Err(BinError::Corrupt(msg)) => assert!(msg.contains("trailing"), "got: {msg}"),
-            other => panic!("expected trailing-bytes error, got {other:?}"),
-        }
     }
 }

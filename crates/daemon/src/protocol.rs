@@ -204,12 +204,11 @@ pub fn checkpoint_written(session: &str, records: u64) -> Value {
 }
 
 /// `daemon_resumed`: startup summary after a successful snapshot load.
-pub fn daemon_resumed(sessions: u64, jobs: u64, machines: u64) -> Value {
+pub fn daemon_resumed(sessions: u64, jobs: u64) -> Value {
     obj(vec![
         ("type", Value::str("daemon_resumed")),
         ("sessions", Value::UInt(sessions)),
         ("jobs", Value::UInt(jobs)),
-        ("machines", Value::UInt(machines)),
     ])
 }
 

@@ -16,8 +16,8 @@
 //! ([`DaemonConfig::job_attempts`]), and reported as a `job_failed`
 //! record on the *owning session's* stream. The daemon, its workers,
 //! and every other session carry on. Retries re-run on the same
-//! persistent worker thread, whose thread-local machine pool resumes
-//! warm `System` snapshots via `reboot_into` instead of cold-booting.
+//! persistent worker thread, whose thread-local machine pool recycles
+//! a parked `System` via `reboot_into` instead of cold-booting.
 //!
 //! Shutdown is a graceful *drain*: stop admitting, run every queued job
 //! to completion, close every session (emitting its final telemetry
@@ -68,17 +68,11 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Hook collecting opaque warm-machine snapshot blobs for a checkpoint.
-pub type CollectMachinesFn = Arc<dyn Fn() -> Vec<Vec<u8>> + Send + Sync>;
-
-/// Hook receiving machine blobs recovered from a resumed snapshot.
-pub type SeedMachinesFn = Arc<dyn Fn(Vec<Vec<u8>>) + Send + Sync>;
-
 /// Durability knobs: where checkpoints go and how often they are cut.
 ///
-/// `DaemonConfig` stays `Copy`; the checkpoint path and machine hooks
-/// live here and are passed to [`Daemon::start_durable`] separately.
-#[derive(Clone)]
+/// `DaemonConfig` stays `Copy`; the checkpoint path lives here and is
+/// passed to [`Daemon::start_durable`] separately.
+#[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
     /// Snapshot file path (written atomically; see [`crate::snapshot`]).
     pub path: PathBuf,
@@ -86,31 +80,13 @@ pub struct CheckpointPolicy {
     /// records (clamped to at least 1). Each write is announced with a
     /// `checkpoint_written` record on the triggering session's stream.
     pub every_records: u64,
-    /// Collects opaque warm-machine snapshot blobs to embed in the
-    /// checkpoint (the CLI wires `pacman_core::pool::take_donations`).
-    /// The daemon itself never interprets the blobs.
-    pub collect_machines: Option<CollectMachinesFn>,
-    /// Receives the machine blobs recovered from a resumed snapshot
-    /// (the CLI wires `pacman_core::pool::seed`).
-    pub seed_machines: Option<SeedMachinesFn>,
 }
 
 impl CheckpointPolicy {
-    /// A policy with no machine hooks.
+    /// A policy writing to `path` every `every_records` records.
     #[must_use]
     pub fn new(path: PathBuf, every_records: u64) -> Self {
-        CheckpointPolicy { path, every_records, collect_machines: None, seed_machines: None }
-    }
-}
-
-impl fmt::Debug for CheckpointPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CheckpointPolicy")
-            .field("path", &self.path)
-            .field("every_records", &self.every_records)
-            .field("collect_machines", &self.collect_machines.is_some())
-            .field("seed_machines", &self.seed_machines.is_some())
-            .finish()
+        CheckpointPolicy { path, every_records }
     }
 }
 
@@ -120,10 +96,6 @@ struct Durable {
     /// Monotonic count of delivered `job_output` records; checkpoints
     /// trigger on multiples of the cadence.
     records_seen: AtomicU64,
-    /// Last non-empty batch of donated machine blobs, carried forward
-    /// so every checkpoint ships warm machines even when no pool parked
-    /// one since the previous cut.
-    machines: Mutex<Vec<Vec<u8>>>,
     /// Startup record describing how resume went (`daemon_resumed` or
     /// `resume_warning`), for the embedder to log.
     resume_report: Mutex<Option<Value>>,
@@ -343,8 +315,8 @@ impl Daemon {
     /// when `resume` is set an existing snapshot at `policy.path` is
     /// loaded first — its sessions are rebuilt with their interrupted
     /// jobs re-enqueued (running jobs at the queue front, with replay
-    /// suppression), its totals and telemetry restored, and its warm
-    /// machine blobs handed to `policy.seed_machines`.
+    /// suppression), and its totals and telemetry restored. Machines are
+    /// never restored: every job rebuilds its systems from its seeds.
     ///
     /// A missing snapshot file is a silent cold start (first boot). A
     /// snapshot that fails to load — torn, corrupt, or version-skewed —
@@ -358,21 +330,12 @@ impl Daemon {
         resume: bool,
     ) -> Daemon {
         let mut report = None;
-        let mut machines = Vec::new();
         let state = if resume {
             match DaemonSnapshot::read_file(&policy.path) {
                 Ok(None) => fresh_state(),
                 Ok(Some(snap)) => {
                     let jobs: u64 = snap.sessions.iter().map(|s| s.jobs.len() as u64).sum();
-                    report = Some(protocol::daemon_resumed(
-                        snap.sessions.len() as u64,
-                        jobs,
-                        snap.machines.len() as u64,
-                    ));
-                    machines = snap.machines.clone();
-                    if let Some(seed) = &policy.seed_machines {
-                        seed(snap.machines.clone());
-                    }
+                    report = Some(protocol::daemon_resumed(snap.sessions.len() as u64, jobs));
                     state_from_snapshot(snap)
                 }
                 Err(e) => {
@@ -388,7 +351,6 @@ impl Daemon {
             records_seen: AtomicU64::new(
                 state.sessions.values().map(|s| s.records.load(Ordering::Relaxed)).sum(),
             ),
-            machines: Mutex::new(machines),
             resume_report: Mutex::new(report),
         };
         Self::start_inner(config, runner, Some(durable), state)
@@ -617,13 +579,6 @@ fn state_from_snapshot(snap: DaemonSnapshot) -> SchedState {
 /// scheduler lock is held only while *capturing*, not while writing.
 fn write_checkpoint(inner: &Inner) -> Result<(), SnapshotError> {
     let Some(durable) = &inner.durable else { return Ok(()) };
-    if let Some(collect) = &durable.policy.collect_machines {
-        let fresh = collect();
-        if !fresh.is_empty() {
-            *durable.machines.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
-        }
-    }
-    let machines = durable.machines.lock().unwrap_or_else(PoisonError::into_inner).clone();
     let snap = {
         let g = inner.lock();
         let mut sessions: Vec<SessionSnapshot> = g
@@ -666,7 +621,6 @@ fn write_checkpoint(inner: &Inner) -> Result<(), SnapshotError> {
             jobs_failed_total: g.jobs_failed_total,
             telemetry: g.telemetry.clone(),
             sessions,
-            machines,
         }
     };
     snap.write_atomic(&durable.policy.path)

@@ -4,11 +4,10 @@
 //! A snapshot captures everything a restarted daemon needs to pick a
 //! campaign back up mid-stream: per-session queue contents (including
 //! jobs that were *running* at checkpoint time, re-enqueued with their
-//! emitted-record watermark), per-session counters and telemetry, the
-//! daemon-wide totals and merged registry, and any warm `System`
-//! machine snapshots donated by the worker pools (opaque blobs — the
-//! daemon never interprets them; the CLI wires them to
-//! `pacman_core::pool`).
+//! emitted-record watermark), per-session counters and telemetry, and
+//! the daemon-wide totals and merged registry. It holds no machine
+//! state: every job rebuilds its systems from its seeds, so a resumed
+//! job re-runs bit-identically on freshly booted machines.
 //!
 //! The file layout is a fixed header followed by a checksummed body:
 //!
@@ -20,11 +19,11 @@
 //! 18      ..    body (pacman_telemetry::bin fields, order is schema)
 //! ```
 //!
-//! Loading is total: any truncation, bit-flip, or version skew yields a
-//! typed [`SnapshotError`], never a panic — mirroring the tolerance of
-//! `parse_jsonl_lossy` for torn JSONL files. Writes are atomic
-//! (write-to-temp then rename), so a crash mid-checkpoint leaves the
-//! previous snapshot intact; a torn temp file is never loaded.
+//! Loading is total: any truncation, bit-flip, version skew, or crafted
+//! body yields a typed [`SnapshotError`], never a panic — mirroring the
+//! tolerance of `parse_jsonl_lossy` for torn JSONL files. Writes are
+//! atomic (write-to-temp then rename), so a crash mid-checkpoint leaves
+//! the previous snapshot intact; a torn temp file is never loaded.
 
 use std::fmt;
 use std::fs;
@@ -38,7 +37,10 @@ use pacman_telemetry::Registry;
 pub const MAGIC: [u8; 8] = *b"PACMANDS";
 
 /// Current snapshot format version. Bump on any body layout change.
-pub const VERSION: u16 = 1;
+/// Version 1 carried a trailing section of machine blobs; a version-1
+/// file is a [`SnapshotError::BadVersion`], so resuming from one is a
+/// cold start.
+pub const VERSION: u16 = 2;
 
 /// Bytes before the checksummed body begins.
 const HEADER_LEN: usize = 8 + 2 + 8;
@@ -142,9 +144,6 @@ pub struct DaemonSnapshot {
     pub telemetry: Registry,
     /// Open sessions, sorted by name for deterministic encoding.
     pub sessions: Vec<SessionSnapshot>,
-    /// Opaque warm-machine snapshots (`System::snapshot` blobs) donated
-    /// by the worker pools; seeded back into the pools on resume.
-    pub machines: Vec<Vec<u8>>,
 }
 
 impl DaemonSnapshot {
@@ -170,10 +169,6 @@ impl DaemonSnapshot {
                 body.str(&j.command);
                 body.u64(j.emitted);
             }
-        }
-        body.usize(self.machines.len());
-        for m in &self.machines {
-            body.bytes(m);
         }
         let body = body.into_bytes();
         let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -209,7 +204,9 @@ impl DaemonSnapshot {
         let jobs_failed_total = r.u64()?;
         let telemetry = Registry::load_bin(&mut r)?;
         let session_count = r.usize()?;
-        let mut sessions = Vec::with_capacity(session_count.min(1024));
+        // No reservation from a count: a crafted prefix must not size an
+        // allocation the remaining bytes cannot back.
+        let mut sessions = Vec::new();
         for _ in 0..session_count {
             let name = r.str()?;
             let next_job = r.u64()?;
@@ -218,7 +215,7 @@ impl DaemonSnapshot {
             let records = r.u64()?;
             let session_telemetry = Registry::load_bin(&mut r)?;
             let job_count = r.usize()?;
-            let mut jobs = Vec::with_capacity(job_count.min(1024));
+            let mut jobs = Vec::new();
             for _ in 0..job_count {
                 let id = r.u64()?;
                 let command = r.str()?;
@@ -235,11 +232,6 @@ impl DaemonSnapshot {
                 jobs,
             });
         }
-        let machine_count = r.usize()?;
-        let mut machines = Vec::with_capacity(machine_count.min(64));
-        for _ in 0..machine_count {
-            machines.push(r.bytes()?.to_vec());
-        }
         if !r.is_done() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after snapshot body",
@@ -252,7 +244,6 @@ impl DaemonSnapshot {
             jobs_failed_total,
             telemetry,
             sessions,
-            machines,
         })
     }
 
@@ -309,7 +300,6 @@ mod tests {
                     JobSnapshot { id: 4, command: "brute --ptr 7".into(), emitted: 0 },
                 ],
             }],
-            machines: vec![vec![1, 2, 3], vec![0xFF; 9]],
         }
     }
 
@@ -327,7 +317,6 @@ mod tests {
         assert_eq!(a.records, b.records);
         assert_eq!(a.telemetry.snapshot(), b.telemetry.snapshot());
         assert_eq!(a.jobs, b.jobs);
-        assert_eq!(loaded.machines, snap.machines);
     }
 
     #[test]
@@ -385,7 +374,7 @@ mod tests {
         let snap = sample();
         snap.write_atomic(&path).unwrap();
         let loaded = DaemonSnapshot::read_file(&path).unwrap().expect("file present");
-        assert_eq!(loaded.machines, snap.machines);
+        assert_eq!(loaded.sessions[0].jobs, snap.sessions[0].jobs);
         assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -247,57 +247,6 @@ impl Kernel {
     pub fn debug_true_pac(&self, machine: &Machine, pointer: u64) -> u16 {
         ptr::pac_field(self.debug_sign_ia_zero(machine, pointer))
     }
-
-    /// Serialises the kernel's own bookkeeping (the memory it manages —
-    /// vectors, tables, kext pages — lives in the machine's physical
-    /// memory and travels with [`Machine::save_state`]).
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.usize(self.syscalls.len());
-        for &va in &self.syscalls {
-            w.u64(va);
-        }
-        w.u64(self.next_code_va);
-        w.u64(self.next_data_va);
-        w.u64(self.crash_count);
-        w.u64(self.boots);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-    }
-
-    /// Restores state written by [`Kernel::save_state`]. The paired
-    /// machine must be restored separately (and first) — this only
-    /// rebuilds the kernel's allocator cursors, syscall table mirror,
-    /// crash accounting, and key-randomisation RNG position.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation or corruption.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        let n = r.usize()?;
-        if n as u64 > layout::MAX_SYSCALLS {
-            return Err(pacman_telemetry::bin::BinError::Corrupt(format!(
-                "{n} syscalls exceeds the table"
-            )));
-        }
-        self.syscalls.clear();
-        for _ in 0..n {
-            self.syscalls.push(r.u64()?);
-        }
-        self.next_code_va = r.u64()?;
-        self.next_data_va = r.u64()?;
-        self.crash_count = r.u64()?;
-        self.boots = r.u64()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(rng_state);
-        Ok(())
-    }
 }
 
 /// Writes an encoded program into mapped kernel memory (debug path; kernel

@@ -1,11 +1,11 @@
 //! A tiny length-checked binary codec for snapshot files.
 //!
-//! The snapshot/resume subsystem (DESIGN.md §13) serialises machine and
-//! daemon state into versioned, checksummed blobs. The workspace has no
-//! serde, so this module provides the one shared primitive every layer
-//! encodes through: a [`Writer`] appending fixed-width little-endian
-//! scalars and length-prefixed byte strings to a `Vec<u8>`, and a
-//! [`Reader`] consuming the same stream with typed
+//! The snapshot/resume subsystem (DESIGN.md §13) serialises daemon
+//! scheduler state and telemetry into versioned, checksummed blobs.
+//! The workspace has no serde, so this module provides the one shared
+//! primitive they encode through: a [`Writer`] appending fixed-width
+//! little-endian scalars and length-prefixed byte strings to a
+//! `Vec<u8>`, and a [`Reader`] consuming the same stream with typed
 //! [truncation](BinError::Truncated) errors instead of panics — a
 //! corrupt snapshot must degrade into a recoverable [`BinError`], never
 //! tear down the process that tried to load it.
@@ -65,31 +65,9 @@ impl Writer {
         self.buf
     }
 
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`.
@@ -97,20 +75,9 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u128`.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `i64` (two's complement).
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern (bit-exact round
-    /// trips, NaN payloads included).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
     }
 
     /// Appends a `bool` as one byte.
@@ -176,34 +143,14 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Result<u16, BinError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("length checked")))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, BinError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, BinError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length checked")))
     }
 
-    /// Reads a `u128`.
-    pub fn u128(&mut self) -> Result<u128, BinError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("length checked")))
-    }
-
     /// Reads an `i64`.
     pub fn i64(&mut self) -> Result<i64, BinError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, BinError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a `bool`; any byte other than 0 or 1 is corruption.
@@ -258,13 +205,8 @@ mod tests {
     fn scalars_round_trip() {
         let mut w = Writer::new();
         w.u8(0xAB);
-        w.u16(0xBEEF);
-        w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
-        w.u128(u128::MAX - 7);
         w.i64(-42);
-        w.f64(-0.0);
-        w.f64(f64::NAN);
         w.bool(true);
         w.usize(12345);
         w.bytes(&[1, 2, 3]);
@@ -272,13 +214,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 0xAB);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.u128().unwrap(), u128::MAX - 7);
         assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.f64().unwrap().is_nan());
         assert!(r.bool().unwrap());
         assert_eq!(r.usize().unwrap(), 12345);
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);

@@ -139,7 +139,7 @@ impl Histogram {
 
     /// Serialises the histogram through the binary snapshot codec.
     /// Sparse encoding: only non-empty buckets are written.
-    pub fn save_bin(&self, w: &mut crate::bin::Writer) {
+    pub(crate) fn save_bin(&self, w: &mut crate::bin::Writer) {
         w.u64(self.count);
         w.u64(self.sum);
         w.u64(self.min);
@@ -160,7 +160,7 @@ impl Histogram {
     ///
     /// [`crate::bin::BinError`] on a truncated stream or an
     /// out-of-range bucket index.
-    pub fn load_bin(r: &mut crate::bin::Reader<'_>) -> Result<Self, crate::bin::BinError> {
+    pub(crate) fn load_bin(r: &mut crate::bin::Reader<'_>) -> Result<Self, crate::bin::BinError> {
         let count = r.u64()?;
         let sum = r.u64()?;
         let min = r.u64()?;

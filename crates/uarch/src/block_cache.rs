@@ -66,7 +66,7 @@ pub struct BlockCacheStats {
 
 /// A held index of one frame's slot table, taken by [`BlockCache::hold`]
 /// and valid while the cache's arena epoch is unchanged (no flush
-/// since). Host-only: never serialised.
+/// since). Host-only.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub(crate) struct HeldFrame {
     epoch: u64,
@@ -220,90 +220,6 @@ impl BlockCache {
         }
         Some(first)
     }
-
-    /// Serialises which slots are decoded (one bitmap per frame) plus the
-    /// generation and counters. The `Inst` values themselves are not
-    /// written: generation invalidation guarantees every cached entry
-    /// matches current memory, so a restore re-decodes them exactly.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.u64(self.valid_gen);
-        w.usize(self.live);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.decoded);
-        w.u64(self.stats.invalidations);
-        w.u64(self.stats.bypasses);
-        w.usize(self.frames.len());
-        for frame in &self.frames {
-            match frame {
-                None => w.bool(false),
-                Some(slots) => {
-                    w.bool(true);
-                    let mut bitmap = vec![0u8; SLOTS / 8];
-                    for (i, slot) in slots.iter().enumerate() {
-                        if slot.is_some() {
-                            bitmap[i / 8] |= 1 << (i % 8);
-                        }
-                    }
-                    w.bytes(&bitmap);
-                }
-            }
-        }
-    }
-
-    /// Restores state written by [`BlockCache::save_state`], re-decoding
-    /// each flagged slot from `phys` (which must already hold the memory
-    /// image the snapshot was taken against).
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation, a malformed
-    /// bitmap, a live count disagreeing with the bitmaps, or a flagged
-    /// word that no longer decodes (all of which mean the snapshot does
-    /// not match the memory image).
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-        phys: &PhysMemory,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        use pacman_telemetry::bin::BinError;
-        self.valid_gen = r.u64()?;
-        let live = r.usize()?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.decoded = r.u64()?;
-        self.stats.invalidations = r.u64()?;
-        self.stats.bypasses = r.u64()?;
-        let count = r.usize()?;
-        self.clear();
-        for fi in 0..count {
-            if !r.bool()? {
-                self.frames.push(None);
-                continue;
-            }
-            let bitmap = r.bytes()?;
-            if bitmap.len() != SLOTS / 8 {
-                return Err(BinError::Corrupt(format!("slot bitmap of {} bytes", bitmap.len())));
-            }
-            let pfn = fi as u64 + 1;
-            let mut slots = empty_slots();
-            for i in 0..SLOTS {
-                if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-                    let pa = pfn * PAGE_SIZE + 4 * i as u64;
-                    let inst = decode(phys.read_u32(pa)).map_err(|_| {
-                        BinError::Corrupt(format!("cached slot at {pa:#x} no longer decodes"))
-                    })?;
-                    slots[i] = Some(inst);
-                    self.live += 1;
-                }
-            }
-            self.frames.push(Some(slots));
-        }
-        if live != self.live {
-            return Err(BinError::Corrupt(format!("live count {live} != {} slots", self.live)));
-        }
-        Ok(())
-    }
 }
 
 /// Whether decoding should stop after `inst`: unconditional control
@@ -414,37 +330,6 @@ mod tests {
         assert_eq!(bc.fetch(base + PAGE_SIZE - 2, &mut phys), Some(movz(3, 5)));
         assert_eq!(bc.stats.bypasses, 2);
         assert_eq!(bc.stats.hits + bc.stats.misses, 0);
-    }
-
-    #[test]
-    fn save_restore_rebuilds_the_arena_by_redecoding() {
-        let mut phys = PhysMemory::new();
-        let mut bc = BlockCache::new();
-        let base = backed(&mut phys);
-        let prog = [movz(1, 7), movz(2, 3), Inst::Hlt];
-        for (i, inst) in prog.iter().enumerate() {
-            write_inst(&mut phys, base + 4 * i as u64, *inst);
-        }
-        bc.fetch(base, &mut phys);
-        bc.fetch(base + 4, &mut phys);
-        let mut w = pacman_telemetry::bin::Writer::new();
-        bc.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = BlockCache::new();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        fresh.restore_state(&mut r, &phys).unwrap();
-        assert!(r.is_done());
-        assert_eq!(fresh.stats, bc.stats);
-        // The decoded run survives: every fetch is a hit, exactly as it
-        // would be on the uninterrupted cache.
-        assert_eq!(fresh.fetch(base + 8, &mut phys), Some(prog[2]));
-        assert_eq!(fresh.stats.hits, bc.stats.hits + 1);
-        assert_eq!(fresh.stats.misses, bc.stats.misses);
-        // A snapshot whose flagged words no longer decode is corruption.
-        phys.write_u32(base, 0xFFFF_FFFF);
-        let mut stale = BlockCache::new();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        assert!(stale.restore_state(&mut r, &phys).is_err());
     }
 
     #[test]

@@ -104,44 +104,6 @@ impl SetAssoc {
         // occupancy counters is the whole invalidate.
         self.occ.fill(0);
     }
-
-    /// Serialises only the live prefix of every set (dead slots are
-    /// never read, so they carry no state worth snapshotting).
-    pub(crate) fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.usize(self.occ.len());
-        for (set, &n) in self.occ.iter().enumerate() {
-            let base = set * self.ways;
-            w.u16(n);
-            for &tag in &self.lines[base..base + n as usize] {
-                w.u64(tag);
-            }
-        }
-    }
-
-    /// Restores state written by [`SetAssoc::save_state`] into a
-    /// structure of identical geometry.
-    pub(crate) fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        use pacman_telemetry::bin::BinError;
-        let sets = r.usize()?;
-        if sets != self.occ.len() {
-            return Err(BinError::Corrupt(format!("set count {sets} != {}", self.occ.len())));
-        }
-        for set in 0..sets {
-            let n = r.u16()?;
-            if n as usize > self.ways {
-                return Err(BinError::Corrupt(format!("occupancy {n} > {} ways", self.ways)));
-            }
-            let base = set * self.ways;
-            for way in 0..n as usize {
-                self.lines[base + way] = r.u64()?;
-            }
-            self.occ[set] = n;
-        }
-        Ok(())
-    }
 }
 
 /// Always-on hit/miss/fill/eviction counters for one cache level (plain
@@ -168,10 +130,9 @@ pub struct Cache {
     inner: SetAssoc,
     line_shift: u32,
     /// Line key of the most recent [`Cache::access`], or `NO_LINE` after
-    /// a flush or restore. Every access leaves its line resident and MRU
-    /// in its set, and only another access can displace it, so a repeat
-    /// access to this line is a hit that promotes nothing. Host-only:
-    /// never serialised.
+    /// a flush. Every access leaves its line resident and MRU in its
+    /// set, and only another access can displace it, so a repeat access
+    /// to this line is a hit that promotes nothing. Host-only.
     last_line: u64,
     /// Access counters (public for experiment reporting).
     pub stats: CacheStats,
@@ -256,35 +217,6 @@ impl Cache {
         self.inner.flush();
         self.last_line = NO_LINE;
     }
-
-    /// Serialises resident lines (LRU order included) and counters.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        self.inner.save_state(w);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.fills);
-        w.u64(self.stats.evictions);
-    }
-
-    /// Restores state written by [`Cache::save_state`] into a cache of
-    /// identical geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation, corruption,
-    /// or a geometry mismatch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.last_line = NO_LINE;
-        self.inner.restore_state(r)?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.fills = r.u64()?;
-        self.stats.evictions = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -366,30 +298,6 @@ mod tests {
         c.access(0x40);
         c.flush();
         assert!(!c.contains(0x40));
-    }
-
-    #[test]
-    fn save_restore_preserves_lru_order_and_stats() {
-        let mut c = small();
-        let (a, b, d) = (0u64, 4 * 64, 8 * 64);
-        c.access(a);
-        c.access(b);
-        c.access(a); // a is MRU, b is LRU
-        let mut w = pacman_telemetry::bin::Writer::new();
-        c.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = small();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        fresh.restore_state(&mut r).unwrap();
-        assert!(r.is_done());
-        assert_eq!(fresh.stats, c.stats);
-        fresh.access(d); // must evict b, the restored LRU
-        assert!(fresh.contains(a));
-        assert!(!fresh.contains(b));
-        // Truncation at any point is an error, not a panic.
-        let mut short = small();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes[..bytes.len() - 1]);
-        assert!(short.restore_state(&mut r).is_err());
     }
 
     #[test]

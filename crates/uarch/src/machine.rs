@@ -358,7 +358,7 @@ pub enum Stop {
 
 /// How often the [`ExecEngine::Cached`] fetch front served a fetch
 /// (host-side diagnostics: not simulation state, never exported by
-/// [`Machine::export_telemetry`] nor written by [`Machine::save_state`]).
+/// [`Machine::export_telemetry`]).
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
 pub struct FetchFrontStats {
     /// Fetches the front served whole: no canonical check, iTLB lookup,
@@ -524,7 +524,7 @@ pub struct Machine {
     /// Predecoded micro-op arena the [`ExecEngine::Cached`] dispatch path
     /// fetches from; unused (and empty) under `Interpreted`.
     block_cache: BlockCache,
-    /// Host-only fetch front of the cached engine (never serialised).
+    /// Host-only fetch front of the cached engine.
     front: [FetchFront; FRONT_WAYS],
     front_stats: FetchFrontStats,
     /// Memoised PAC computations keyed by (key value, canonical pointer,
@@ -745,258 +745,6 @@ impl Machine {
         reg.gauge("cpu.cycles", i64::try_from(self.cycles).unwrap_or(i64::MAX));
         reg.merge_histogram("spec.depth", &self.spec_depth);
         self.profiler.export_into(reg);
-    }
-
-    /// The ten PAC key-half system registers, in snapshot order.
-    const KEY_HALVES: [SysReg; 10] = [
-        SysReg::ApiaKeyLo,
-        SysReg::ApiaKeyHi,
-        SysReg::ApibKeyLo,
-        SysReg::ApibKeyHi,
-        SysReg::ApdaKeyLo,
-        SysReg::ApdaKeyHi,
-        SysReg::ApdbKeyLo,
-        SysReg::ApdbKeyHi,
-        SysReg::ApgaKeyLo,
-        SysReg::ApgaKeyHi,
-    ];
-
-    /// Serialises the full mutable machine state — architectural CPU
-    /// state, physical memory, every microarchitectural structure, all
-    /// counters, and the RNG position — so that a machine restored via
-    /// [`Machine::restore_state`] onto an identically-configured fresh
-    /// boot continues bit-identically to one that was never interrupted
-    /// (telemetry export included). The configuration itself is *not*
-    /// written; the caller owns it and must boot with the same one.
-    ///
-    /// Not captured, by design: the speculation trace and profiler
-    /// (diagnostic recorders, off by default and simulation-invisible)
-    /// and the TLB/fetch fast paths (restored cold; their contract makes
-    /// them invisible too).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a wrong-path fault is latched for architectural
-    /// delivery (only possible under the `commit_suppressed_faults`
-    /// injected bug) — such a machine is mid-misbehaviour and has no
-    /// meaningful snapshot.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        assert!(
-            self.pending_spec_fault.is_none(),
-            "cannot snapshot a machine with a latched wrong-path fault"
-        );
-        // Architectural CPU state.
-        for &r in &self.cpu.regs {
-            w.u64(r);
-        }
-        w.u64(self.cpu.sp[0]);
-        w.u64(self.cpu.sp[1]);
-        w.u64(self.cpu.pc);
-        w.u8(match self.cpu.el {
-            El::El0 => 0,
-            El::El1 => 1,
-        });
-        w.i64(self.cpu.cmp.0);
-        w.i64(self.cpu.cmp.1);
-        for reg in Self::KEY_HALVES {
-            w.u64(self.cpu.keys.read_half(reg).expect("key halves are always readable"));
-        }
-        match &self.cpu.saved {
-            None => w.bool(false),
-            Some(saved) => {
-                w.bool(true);
-                for &r in &saved.regs {
-                    w.u64(r);
-                }
-                w.u64(saved.sp);
-                w.u64(saved.pc);
-            }
-        }
-        // Memory system (physical memory first: the block cache restore
-        // re-decodes from it).
-        self.mem.phys.save_state(w);
-        self.mem.tables.save_state(w);
-        self.mem.l1i.save_state(w);
-        self.mem.l1d.save_state(w);
-        self.mem.l2c.save_state(w);
-        self.mem.tlbs.save_state(w);
-        // Predictors and timers.
-        self.bimodal.save_state(w);
-        self.btb.save_state(w);
-        self.rsb.save_state(w);
-        self.timers.save_state(w);
-        // Counters.
-        let s = &self.stats;
-        for v in [
-            s.retired,
-            s.spec_episodes,
-            s.spec_insts,
-            s.spec_faults_suppressed,
-            s.eager_squashes,
-            s.taint_blocked,
-            s.delay_blocked,
-            s.fences_injected,
-            s.syscalls,
-            s.fault_spikes,
-        ] {
-            w.u64(v);
-        }
-        let p = &self.predict_stats;
-        for v in [
-            p.bimodal_correct,
-            p.bimodal_mispredicts,
-            p.btb_hits,
-            p.btb_misses,
-            p.btb_mispredicts,
-            p.rsb_hits,
-            p.rsb_underflows,
-            p.ret_mispredicts,
-        ] {
-            w.u64(v);
-        }
-        self.spec_depth.save_bin(w);
-        w.u64(self.cycles);
-        // Execution-engine accelerators.
-        self.block_cache.save_state(w);
-        let mut memo: Vec<(&(u128, u64, u64), &u16)> = self.pac_memo.iter().collect();
-        memo.sort_unstable();
-        w.usize(memo.len());
-        for (&(key, pointer, modifier), &pac) in memo {
-            w.u128(key);
-            w.u64(pointer);
-            w.u64(modifier);
-            w.u16(pac);
-        }
-        w.u64(self.pac_memo_hits);
-        w.u64(self.pac_memo_misses);
-        match self.pac_last {
-            None => w.bool(false),
-            Some(((key, pointer, modifier), pac)) => {
-                w.bool(true);
-                w.u128(key);
-                w.u64(pointer);
-                w.u64(modifier);
-                w.u16(pac);
-            }
-        }
-        // Remaining machine-level state.
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        w.u8(match self.timing_source {
-            TimingSource::Pmc0 => 0,
-            TimingSource::MultiThread => 1,
-            TimingSource::SystemCounter => 2,
-        });
-        w.u64(self.vbar);
-    }
-
-    /// Restores state written by [`Machine::save_state`] into a machine
-    /// booted with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on a truncated, corrupt, or
-    /// geometry-mismatched stream. The machine's state is then
-    /// unspecified and the caller must discard it.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        use pacman_telemetry::bin::BinError;
-        for reg in &mut self.cpu.regs {
-            *reg = r.u64()?;
-        }
-        self.cpu.sp[0] = r.u64()?;
-        self.cpu.sp[1] = r.u64()?;
-        self.cpu.pc = r.u64()?;
-        self.cpu.el = match r.u8()? {
-            0 => El::El0,
-            1 => El::El1,
-            other => return Err(BinError::Corrupt(format!("exception level {other}"))),
-        };
-        self.cpu.cmp = (r.i64()?, r.i64()?);
-        for reg in Self::KEY_HALVES {
-            let half = r.u64()?;
-            if !self.cpu.keys.write_half(reg, half) {
-                return Err(BinError::Corrupt(format!("unwritable key half {reg:?}")));
-            }
-        }
-        self.cpu.saved = if r.bool()? {
-            let mut regs = [0u64; 31];
-            for reg in &mut regs {
-                *reg = r.u64()?;
-            }
-            Some(SavedContext { regs, sp: r.u64()?, pc: r.u64()? })
-        } else {
-            None
-        };
-        self.mem.phys.restore_state(r)?;
-        self.mem.tables.restore_state(r)?;
-        self.mem.l1i.restore_state(r)?;
-        self.mem.l1d.restore_state(r)?;
-        self.mem.l2c.restore_state(r)?;
-        self.mem.tlbs.restore_state(r)?;
-        self.bimodal.restore_state(r)?;
-        self.btb.restore_state(r)?;
-        self.rsb.restore_state(r)?;
-        self.timers.restore_state(r)?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.retired,
-            &mut s.spec_episodes,
-            &mut s.spec_insts,
-            &mut s.spec_faults_suppressed,
-            &mut s.eager_squashes,
-            &mut s.taint_blocked,
-            &mut s.delay_blocked,
-            &mut s.fences_injected,
-            &mut s.syscalls,
-            &mut s.fault_spikes,
-        ] {
-            *v = r.u64()?;
-        }
-        let p = &mut self.predict_stats;
-        for v in [
-            &mut p.bimodal_correct,
-            &mut p.bimodal_mispredicts,
-            &mut p.btb_hits,
-            &mut p.btb_misses,
-            &mut p.btb_mispredicts,
-            &mut p.rsb_hits,
-            &mut p.rsb_underflows,
-            &mut p.ret_mispredicts,
-        ] {
-            *v = r.u64()?;
-        }
-        self.spec_depth = Histogram::load_bin(r)?;
-        self.cycles = r.u64()?;
-        self.block_cache.restore_state(r, &self.mem.phys)?;
-        self.pac_memo.clear();
-        for _ in 0..r.usize()? {
-            let triple = (r.u128()?, r.u64()?, r.u64()?);
-            let pac = r.u16()?;
-            self.pac_memo.insert(triple, pac);
-        }
-        self.pac_memo_hits = r.u64()?;
-        self.pac_memo_misses = r.u64()?;
-        self.pac_last =
-            if r.bool()? { Some(((r.u128()?, r.u64()?, r.u64()?), r.u16()?)) } else { None };
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(rng_state);
-        self.timing_source = match r.u8()? {
-            0 => TimingSource::Pmc0,
-            1 => TimingSource::MultiThread,
-            2 => TimingSource::SystemCounter,
-            other => return Err(BinError::Corrupt(format!("timing source {other}"))),
-        };
-        self.vbar = r.u64()?;
-        self.pending_spec_fault = None;
-        self.front = [FetchFront::INVALID; FRONT_WAYS];
-        Ok(())
     }
 
     /// Maps a fresh zeroed page at `va` (page-aligned) and returns its
@@ -2222,66 +1970,6 @@ mod tests {
         off.export_telemetry(&mut reg_off);
         assert!(!reg_off.snapshot().counters.keys().any(|k| k.starts_with("profile.")));
         assert_eq!(off.cycles, m.cycles, "profiling must not change simulated time");
-    }
-
-    #[test]
-    fn save_restore_mid_program_continues_bit_identically() {
-        // Run a PAC-heavy syscall-free loop partway, snapshot, and let
-        // both the original and a restored fresh boot finish: every
-        // architectural register, the cycle count, and the full
-        // telemetry export must agree.
-        let mut m = machine();
-        m.map_page(USER_DATA, Perms::user_rw());
-        let mut a = Asm::new();
-        let top = a.new_label();
-        a.mov_imm64(Reg::X0, 12);
-        a.mov_imm64(Reg::X1, USER_DATA);
-        a.mov_imm64(Reg::X9, 0x0000_0000_4567_0000);
-        a.bind(top);
-        a.push(Inst::Pac { key: PacKey::Ia, rd: Reg::X9, modifier: pacman_isa::PacModifier::Zero });
-        a.push(Inst::Xpac { rd: Reg::X9, data: false });
-        a.push(Inst::Ldr { rt: Reg::X2, rn: Reg::X1, offset: 0 });
-        a.push(Inst::Str { rt: Reg::X0, rn: Reg::X1, offset: 8 });
-        a.push(Inst::SubImm { rd: Reg::X0, rn: Reg::X0, imm: 1 });
-        a.cbnz(Reg::X0, top);
-        a.push(Inst::Hlt);
-        let program = a.assemble().unwrap();
-        m.map_region(USER_CODE, 4 * program.len() as u64, Perms::user_rwx());
-        m.load_program(USER_CODE, &program);
-        m.cpu.pc = USER_CODE;
-        m.cpu.el = El::El0;
-        for _ in 0..20 {
-            m.step().expect("no trap");
-        }
-        let mut w = pacman_telemetry::bin::Writer::new();
-        m.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut restored = machine();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        restored.restore_state(&mut r).unwrap();
-        assert!(r.is_done(), "snapshot fully consumed");
-        assert_eq!(restored.cycles, m.cycles);
-        assert_eq!(restored.cpu.pc, m.cpu.pc);
-
-        m.run(100_000).expect("original finishes");
-        restored.run(100_000).expect("restored finishes");
-        assert_eq!(restored.cpu.regs, m.cpu.regs);
-        assert_eq!(restored.cycles, m.cycles);
-        assert_eq!(restored.stats, m.stats);
-        let (mut reg_a, mut reg_b) = (Registry::new(), Registry::new());
-        m.export_telemetry(&mut reg_a);
-        restored.export_telemetry(&mut reg_b);
-        assert_eq!(reg_a.snapshot(), reg_b.snapshot(), "telemetry must be bit-identical");
-
-        // Truncating the snapshot anywhere is a typed error, never a
-        // panic (spot-check a spread of prefixes; every byte would be
-        // slow against a full memory image).
-        for cut in [0, 1, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
-            let mut broken = machine();
-            let mut r = pacman_telemetry::bin::Reader::new(&bytes[..cut]);
-            assert!(broken.restore_state(&mut r).is_err(), "cut at {cut}");
-        }
     }
 
     #[test]

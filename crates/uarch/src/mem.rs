@@ -231,82 +231,6 @@ impl PhysMemory {
             self.write_u8(pa + i as u64, b);
         }
     }
-
-    /// Serialises every frame plus the code-tracking state. All-zero
-    /// frames are stored as one flag byte, so a sparse address space
-    /// stays a small snapshot.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.u64(self.code_write_gen);
-        w.u32(self.fresh_allocs);
-        w.usize(self.frames.len());
-        for frame in &self.frames {
-            let nonzero = frame.iter().any(|&b| b != 0);
-            w.bool(nonzero);
-            if nonzero {
-                w.bytes(frame);
-            }
-        }
-        let flagged: Vec<u64> =
-            self.code_flags.iter().enumerate().filter(|(_, &f)| f).map(|(i, _)| i as u64).collect();
-        w.usize(flagged.len());
-        for i in flagged {
-            w.u64(i);
-        }
-    }
-
-    /// Restores state written by [`PhysMemory::save_state`], recycling
-    /// this memory's existing frame boxes (surplus frames return to the
-    /// internal pool; missing ones are drawn from it, then the host).
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on a truncated or corrupt
-    /// stream; this memory's contents are then unspecified and the
-    /// caller must discard it.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.code_write_gen = r.u64()?;
-        self.fresh_allocs = r.u32()?;
-        let count = r.usize()?;
-        while self.frames.len() > count {
-            self.pool.push(self.frames.pop().expect("len checked"));
-        }
-        while self.frames.len() < count {
-            let frame = self.pool.pop().unwrap_or_else(|| {
-                self.fresh_allocs += 1;
-                vec![0u8; PAGE_SIZE as usize].into_boxed_slice()
-            });
-            self.frames.push(frame);
-        }
-        for frame in &mut self.frames {
-            if r.bool()? {
-                let bytes = r.bytes()?;
-                if bytes.len() != frame.len() {
-                    return Err(pacman_telemetry::bin::BinError::Corrupt(format!(
-                        "frame size {} != {PAGE_SIZE}",
-                        bytes.len()
-                    )));
-                }
-                frame.copy_from_slice(bytes);
-            } else {
-                frame.fill(0);
-            }
-        }
-        self.code_flags.clear();
-        self.code_flags.resize(count, false);
-        self.any_code = false;
-        for _ in 0..r.usize()? {
-            let i = r.usize()?;
-            let slot = self.code_flags.get_mut(i).ok_or_else(|| {
-                pacman_telemetry::bin::BinError::Corrupt(format!("code flag index {i}"))
-            })?;
-            *slot = true;
-            self.any_code = true;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -203,27 +203,6 @@ impl PageTables {
         let (entry, _) = self.walk(mem, va).ok()?;
         Some(entry.pfn * PAGE_SIZE + va.page_offset())
     }
-
-    /// Serialises the two translation roots (the tables themselves live
-    /// in simulated physical memory and travel with its snapshot).
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.u64(self.ttbr0);
-        w.u64(self.ttbr1);
-    }
-
-    /// Restores roots written by [`PageTables::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.ttbr0 = r.u64()?;
-        self.ttbr1 = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

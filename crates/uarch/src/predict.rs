@@ -60,44 +60,6 @@ impl Bimodal {
     pub fn reset(&mut self) {
         self.table.clear();
     }
-
-    /// Serialises counters as (pc, state) pairs sorted by pc, so the
-    /// encoding is independent of `HashMap` iteration order.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        let mut pairs: Vec<(u64, u8)> = self.table.iter().map(|(&pc, &c)| (pc, c.0)).collect();
-        pairs.sort_unstable();
-        w.usize(pairs.len());
-        for (pc, state) in pairs {
-            w.u64(pc);
-            w.u8(state);
-        }
-    }
-
-    /// Restores state written by [`Bimodal::save_state`], replacing the
-    /// current table.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation or a counter
-    /// state outside 0..=3.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        let n = r.usize()?;
-        self.table.clear();
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let state = r.u8()?;
-            if state > 3 {
-                return Err(pacman_telemetry::bin::BinError::Corrupt(format!(
-                    "2-bit counter state {state}"
-                )));
-            }
-            self.table.insert(pc, Counter2(state));
-        }
-        Ok(())
-    }
 }
 
 /// Branch target buffer for indirect branches.
@@ -126,37 +88,6 @@ impl Btb {
     /// Forgets everything.
     pub fn reset(&mut self) {
         self.table.clear();
-    }
-
-    /// Serialises entries as (pc, target) pairs sorted by pc.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        let mut pairs: Vec<(u64, u64)> = self.table.iter().map(|(&pc, &t)| (pc, t)).collect();
-        pairs.sort_unstable();
-        w.usize(pairs.len());
-        for (pc, target) in pairs {
-            w.u64(pc);
-            w.u64(target);
-        }
-    }
-
-    /// Restores state written by [`Btb::save_state`], replacing the
-    /// current table.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        let n = r.usize()?;
-        self.table.clear();
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let target = r.u64()?;
-            self.table.insert(pc, target);
-        }
-        Ok(())
     }
 }
 
@@ -203,42 +134,6 @@ impl Rsb {
     /// Forgets everything.
     pub fn reset(&mut self) {
         self.stack.clear();
-    }
-
-    /// Serialises the return stack oldest-first.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.usize(self.capacity);
-        w.usize(self.stack.len());
-        for &ra in &self.stack {
-            w.u64(ra);
-        }
-    }
-
-    /// Restores state written by [`Rsb::save_state`]; the capacity in
-    /// the stream must match this RSB's.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation, a capacity
-    /// mismatch, or a depth beyond capacity.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        use pacman_telemetry::bin::BinError;
-        let capacity = r.usize()?;
-        if capacity != self.capacity {
-            return Err(BinError::Corrupt(format!("RSB capacity {capacity} != {}", self.capacity)));
-        }
-        let depth = r.usize()?;
-        if depth > capacity {
-            return Err(BinError::Corrupt(format!("RSB depth {depth} > capacity {capacity}")));
-        }
-        self.stack.clear();
-        for _ in 0..depth {
-            self.stack.push(r.u64()?);
-        }
-        Ok(())
     }
 }
 
@@ -359,40 +254,6 @@ mod tests {
         assert_eq!(b.predict(0x100), Some(0xAAAA));
         b.train(0x100, 0xBBBB);
         assert_eq!(b.predict(0x100), Some(0xBBBB));
-    }
-
-    #[test]
-    fn predictors_round_trip_through_the_codec() {
-        let mut p = Bimodal::new();
-        p.train(0x40, true);
-        p.train(0x40, true);
-        p.train(0x80, false);
-        let mut b = Btb::new();
-        b.train(0x100, 0xAAAA);
-        let mut rsb = Rsb::new(4);
-        rsb.push(0x1000);
-        rsb.push(0x2000);
-        let mut w = pacman_telemetry::bin::Writer::new();
-        p.save_state(&mut w);
-        b.save_state(&mut w);
-        rsb.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        let (mut p2, mut b2, mut rsb2) = (Bimodal::new(), Btb::new(), Rsb::new(4));
-        p2.restore_state(&mut r).unwrap();
-        b2.restore_state(&mut r).unwrap();
-        rsb2.restore_state(&mut r).unwrap();
-        assert!(r.is_done());
-        assert!(p2.predict(0x40));
-        assert!(!p2.predict(0x80));
-        assert_eq!(b2.predict(0x100), Some(0xAAAA));
-        assert_eq!(rsb2.pop(), Some(0x2000));
-        assert_eq!(rsb2.pop(), Some(0x1000));
-        // A differently-sized RSB rejects the stream instead of panicking.
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        Bimodal::new().restore_state(&mut r).unwrap();
-        Btb::new().restore_state(&mut r).unwrap();
-        assert!(Rsb::new(8).restore_state(&mut r).is_err());
     }
 
     #[test]

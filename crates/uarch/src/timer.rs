@@ -123,27 +123,6 @@ impl Timers {
     pub fn mt_ticks_per_cycle(&self) -> f64 {
         self.mt_rate.0 as f64 / self.mt_rate.1 as f64
     }
-
-    /// Serialises the mutable timer state (everything else is fixed at
-    /// construction from the machine configuration).
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.bool(self.pmc0_el0_enabled);
-        w.u64(self.last_mt);
-    }
-
-    /// Restores state written by [`Timers::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation or corruption.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.pmc0_el0_enabled = r.bool()?;
-        self.last_mt = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

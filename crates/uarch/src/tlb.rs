@@ -171,72 +171,6 @@ impl Tlb {
     pub fn occupancy(&self, set: usize) -> usize {
         self.occ[set] as usize
     }
-
-    /// Serialises the live prefix of every set, MRU order included.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.usize(self.occ.len());
-        for (set, &n) in self.occ.iter().enumerate() {
-            let base = set * self.params.ways;
-            w.u16(n);
-            for e in &self.entries[base..base + n as usize] {
-                w.u64(e.vpn);
-                w.u64(e.pfn);
-                let p = &e.perms;
-                w.u8(u8::from(p.read)
-                    | u8::from(p.write) << 1
-                    | u8::from(p.execute) << 2
-                    | u8::from(p.user) << 3);
-            }
-        }
-    }
-
-    /// Restores state written by [`Tlb::save_state`] into a TLB of
-    /// identical geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation, corruption,
-    /// or a geometry mismatch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        use pacman_telemetry::bin::BinError;
-        let sets = r.usize()?;
-        if sets != self.occ.len() {
-            return Err(BinError::Corrupt(format!("set count {sets} != {}", self.occ.len())));
-        }
-        for set in 0..sets {
-            let n = r.u16()?;
-            if n as usize > self.params.ways {
-                return Err(BinError::Corrupt(format!(
-                    "occupancy {n} > {} ways",
-                    self.params.ways
-                )));
-            }
-            let base = set * self.params.ways;
-            for way in 0..n as usize {
-                let vpn = r.u64()?;
-                let pfn = r.u64()?;
-                let bits = r.u8()?;
-                if bits > 0xF {
-                    return Err(BinError::Corrupt(format!("perm bits {bits:#x}")));
-                }
-                self.entries[base + way] = TlbEntry {
-                    vpn,
-                    pfn,
-                    perms: Perms {
-                        read: bits & 1 != 0,
-                        write: bits & 2 != 0,
-                        execute: bits & 4 != 0,
-                        user: bits & 8 != 0,
-                    },
-                };
-            }
-            self.occ[set] = n;
-        }
-        Ok(())
-    }
 }
 
 /// Which privilege level an instruction fetch executes at (selects the
@@ -322,13 +256,12 @@ pub struct TlbStats {
 
 /// Identity of one [`TlbHierarchy`]'s iTLB contents: the hierarchy's
 /// instance id plus a generation bumped whenever either private iTLB
-/// changes — a fill, a hit that promotes an entry to MRU, a flush, a
-/// restore. Two equal epochs read from the same live hierarchy mean
-/// neither iTLB changed in between, so every entry that was the MRU way
-/// of its set still is. The instance id (unique per construction and
+/// changes — a fill, a hit that promotes an entry to MRU, a flush. Two
+/// equal epochs read from the same live hierarchy mean neither iTLB
+/// changed in between, so every entry that was the MRU way of its set
+/// still is. The instance id (unique per construction and
 /// per clone) keeps an epoch taken from one hierarchy from matching a
-/// replacement whose generation happens to read the same. Host-only:
-/// never serialised.
+/// replacement whose generation happens to read the same. Host-only.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub(crate) struct FetchEpoch {
     instance: u64,
@@ -576,87 +509,6 @@ impl TlbHierarchy {
         self.dtlb.flush();
         self.l2.flush();
     }
-
-    /// Serialises all four structures plus the counters. The one-entry
-    /// fast paths are not captured: their contract makes them invisible
-    /// to the simulation, so a restore simply starts with them cold.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        self.itlb_user.save_state(w);
-        self.itlb_kernel.save_state(w);
-        self.dtlb.save_state(w);
-        self.l2.save_state(w);
-        let s = &self.stats;
-        for v in [
-            s.dtlb_hits,
-            s.dtlb_misses,
-            s.dtlb_fills,
-            s.dtlb_evictions,
-            s.itlb_hits,
-            s.itlb_misses,
-            s.itlb_user_hits,
-            s.itlb_user_misses,
-            s.itlb_user_fills,
-            s.itlb_user_evictions,
-            s.itlb_kernel_hits,
-            s.itlb_kernel_misses,
-            s.itlb_kernel_fills,
-            s.itlb_kernel_evictions,
-            s.l2_hits,
-            s.l2_misses,
-            s.l2_fills,
-            s.l2_evictions,
-            s.walks,
-            s.itlb_to_dtlb_migrations,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Restores state written by [`TlbHierarchy::save_state`] into a
-    /// hierarchy of identical geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation, corruption,
-    /// or a geometry mismatch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.fetch_fast = None;
-        self.itlb_changed();
-        self.data_fast = None;
-        self.itlb_user.restore_state(r)?;
-        self.itlb_kernel.restore_state(r)?;
-        self.dtlb.restore_state(r)?;
-        self.l2.restore_state(r)?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.dtlb_hits,
-            &mut s.dtlb_misses,
-            &mut s.dtlb_fills,
-            &mut s.dtlb_evictions,
-            &mut s.itlb_hits,
-            &mut s.itlb_misses,
-            &mut s.itlb_user_hits,
-            &mut s.itlb_user_misses,
-            &mut s.itlb_user_fills,
-            &mut s.itlb_user_evictions,
-            &mut s.itlb_kernel_hits,
-            &mut s.itlb_kernel_misses,
-            &mut s.itlb_kernel_fills,
-            &mut s.itlb_kernel_evictions,
-            &mut s.l2_hits,
-            &mut s.l2_misses,
-            &mut s.l2_fills,
-            &mut s.l2_evictions,
-            &mut s.walks,
-            &mut s.itlb_to_dtlb_migrations,
-        ] {
-            *v = r.u64()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -788,35 +640,6 @@ mod tests {
         assert_eq!(h.stats.l2_misses, 1, "the full miss also missed L2");
         assert_eq!(h.stats.dtlb_fills, 1);
         assert_eq!(h.stats.l2_fills, 1);
-    }
-
-    #[test]
-    fn save_restore_round_trips_the_hierarchy() {
-        let mut h = small_hierarchy();
-        h.fill_fetch(FetchWorld::Kernel, entry(0));
-        h.fill_fetch(FetchWorld::Kernel, entry(4));
-        h.fill_fetch(FetchWorld::Kernel, entry(8)); // migrates vpn 0 into dTLB
-        h.fill_data(entry(9));
-        let _ = h.lookup_data(9);
-        let mut w = pacman_telemetry::bin::Writer::new();
-        h.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = small_hierarchy();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        fresh.restore_state(&mut r).unwrap();
-        assert!(r.is_done());
-        assert_eq!(fresh.stats, h.stats);
-        assert!(fresh.dtlb().contains(0), "migrated victim survives the round trip");
-        assert!(fresh.itlb(FetchWorld::Kernel).contains(8));
-        assert_eq!(fresh.lookup_data(9), DataLookup::DtlbHit(entry(9)));
-        // Geometry mismatch is corruption, not a panic.
-        let mut wrong = TlbHierarchy::new(
-            TlbParams { ways: 2, sets: 8 },
-            TlbParams { ways: 3, sets: 8 },
-            TlbParams { ways: 4, sets: 16 },
-        );
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
-        assert!(wrong.restore_state(&mut r).is_err());
     }
 
     #[test]

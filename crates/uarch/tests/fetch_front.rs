@@ -297,57 +297,7 @@ fn a_misaligned_pc_on_the_front_page() {
 }
 
 #[test]
-fn restore_state_mid_program() {
-    assert_engines_agree(|m| {
-        let start = boundary_program(m);
-        m.cpu.pc = start;
-        for _ in 0..10 {
-            m.step().expect("straight-line code");
-        }
-        let mut w = pacman_telemetry::bin::Writer::new();
-        m.save_state(&mut w);
-        let snapshot = w.into_bytes();
-        let outcome = m.run(20);
-        let mut out = vec![observe(m, outcome)];
-        // Back to step 10 on the same machine, with the front warm on a
-        // later point of the program ...
-        m.restore_state(&mut pacman_telemetry::bin::Reader::new(&snapshot)).expect("restores");
-        let outcome = m.run(10_000);
-        out.push(observe(m, outcome));
-        // ... and on a fresh boot, whose front starts cold.
-        let mut fresh = Machine::new(m.config().clone());
-        fresh.restore_state(&mut pacman_telemetry::bin::Reader::new(&snapshot)).expect("restores");
-        let outcome = fresh.run(10_000);
-        out.push(observe(&fresh, outcome));
-        *m = fresh;
-        out
-    });
-}
-
-#[test]
-fn restoring_the_tlbs_or_the_l1i_alone() {
-    assert_engines_agree(|m| {
-        let start = boundary_program(m);
-        let mut cold_tlbs = pacman_telemetry::bin::Writer::new();
-        m.mem.tlbs.save_state(&mut cold_tlbs);
-        let mut cold_l1i = pacman_telemetry::bin::Writer::new();
-        m.mem.l1i.save_state(&mut cold_l1i);
-        let first = run_from(m, start);
-        m.mem
-            .l1i
-            .restore_state(&mut pacman_telemetry::bin::Reader::new(&cold_l1i.into_bytes()))
-            .expect("restores");
-        let second = run_from(m, boundary_tail(start));
-        m.mem
-            .tlbs
-            .restore_state(&mut pacman_telemetry::bin::Reader::new(&cold_tlbs.into_bytes()))
-            .expect("restores");
-        vec![first, second, run_from(m, boundary_tail(start))]
-    });
-}
-
-#[test]
-fn the_front_is_neither_exported_nor_serialised() {
+fn the_front_is_not_exported() {
     let mut m = machine(ExecEngine::Cached);
     let start = boundary_program(&mut m);
     assert_eq!(run_from(&mut m, start).outcome, Ok(Stop::Hlt));
@@ -355,14 +305,4 @@ fn the_front_is_neither_exported_nor_serialised() {
     let mut reg = Registry::new();
     m.export_telemetry(&mut reg);
     assert!(reg.snapshot().counters.keys().all(|k| !k.contains("front")));
-    // A restore starts with a cold front and continues exactly as the
-    // warm original does.
-    let mut w = pacman_telemetry::bin::Writer::new();
-    m.save_state(&mut w);
-    let mut restored = Machine::new(m.config().clone());
-    restored
-        .restore_state(&mut pacman_telemetry::bin::Reader::new(&w.into_bytes()))
-        .expect("restores");
-    assert_eq!(restored.fetch_front_stats(), FetchFrontStats::default());
-    assert_eq!(run_from(&mut m, start), run_from(&mut restored, start));
 }
