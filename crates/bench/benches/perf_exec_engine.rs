@@ -10,7 +10,7 @@
 //! (PAC guesses per host second) — and the bitsliced QARMA core must
 //! evaluate 64 lanes per pass faster than 64 scalar cipher calls. The
 //! cached engine's fetch front must serve at least 80% of the oracle
-//! loop's fetches.
+//! loop's fetches, in blocks of 7-9 instructions on average.
 //!
 //! The oracle-loop ratio compares bit-identical simulations (the PR 5
 //! conformance harness proves the engines agree), so it is a pure
@@ -157,11 +157,16 @@ fn main() {
     // not an exported counter).
     let front = sys.machine.fetch_front_stats();
     let front_share = front.served_share();
+    // And how long the runs it serves are: block dispatch retires a
+    // whole run of fetches per front lookup, so a change that ends every
+    // block after one instruction shows here first.
+    let insts_per_block = front.insts_per_block();
     println!(
-        "  fetch front: {} served / {} refills ({:.1}% served)",
+        "  fetch front: {} served / {} refills ({:.1}% served), {:.2} insts/block",
         front.served,
         front.refills,
-        100.0 * front_share
+        100.0 * front_share,
+        insts_per_block
     );
     println!();
 
@@ -177,7 +182,8 @@ fn main() {
         .float("bitslice_speedup", slice_speedup)
         .num("bitslice_lanes", BITSLICE_LANES as u64)
         .float("block_cache_hit_rate_pct", hit_rate)
-        .float("fetch_front_served_share", front_share);
+        .float("fetch_front_served_share", front_share)
+        .float("fetch_front_insts_per_block", insts_per_block);
     art.write();
 
     compare("oracle loop", ">=5x vs interpreter", &format!("{oracle_speedup:.2}x"));
@@ -189,4 +195,8 @@ fn main() {
     check("bitslice beats scalar", slice_speedup >= 2.0);
     check("block cache hit rate >=90%", hit_rate >= 90.0);
     check("fetch front serves >=80% of oracle-loop fetches", front_share >= 0.8);
+    check(
+        "block dispatch serves 7-9 instructions per block on the oracle loop",
+        (7.0..=9.0).contains(&insts_per_block),
+    );
 }

@@ -477,6 +477,12 @@ pub fn all() -> Vec<Claim> {
             "the fetch front serves the oracle loop's straight-line fetches",
             AtLeast(0.8),
         ),
+        c(
+            "perf_exec_engine",
+            "fetch_front_insts_per_block",
+            "block dispatch retires whole fetch-front runs (7.98 measured)",
+            F64Range { min: 7.0, max: 9.0 },
+        ),
         // ---- perf_campaign (persistent executor + pooled machines) -----
         // Not a paper table: the executor-rewrite regression gate. Bands
         // match the bench's own checks so a printed PASS always verifies.

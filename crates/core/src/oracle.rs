@@ -18,6 +18,7 @@
 //! A correct PAC leaves the target translation in the monitored set and
 //! the probe cascades into ≥5 misses; an incorrect PAC leaves ≤1.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use pacman_isa::ptr::with_pac_field;
@@ -199,15 +200,6 @@ impl<O: PacOracle + ?Sized> PacOracle for Box<O> {
     }
 }
 
-fn check_quiet(sys: &System, target: u64) -> Result<(), OracleError> {
-    let set = pacman_isa::ptr::VirtualAddress::new(target).vpn() % 256;
-    if sys.hot_dtlb_sets().contains(&set) {
-        Err(OracleError::HotSetCollision { set })
-    } else {
-        Ok(())
-    }
-}
-
 fn payload_for(target: u64, pac: u16) -> [u8; 24] {
     let mut payload = [0u8; 24];
     payload[16..].copy_from_slice(&with_pac_field(target, pac).to_le_bytes());
@@ -224,8 +216,24 @@ impl ProbeCache {
     /// The Prime+Probe state for `target`, built on first use. Returns a
     /// borrow (not a clone): the eviction-set vectors are invariant
     /// across guesses, so trials must not re-materialise them.
-    fn get<'a>(&'a mut self, sys: &mut System, target: u64) -> &'a PrimeProbe {
-        self.by_target.entry(target).or_insert_with(|| PrimeProbe::for_target(sys, target))
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError::HotSetCollision`] when `target`'s dTLB set is one
+    /// the syscall path touches. That is checked when the state is
+    /// built, not per trial: the hot sets are fixed at boot, and a hot
+    /// target is never cached, so it fails again on every call.
+    fn get<'a>(&'a mut self, sys: &mut System, target: u64) -> Result<&'a PrimeProbe, OracleError> {
+        match self.by_target.entry(target) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let set = pacman_isa::ptr::VirtualAddress::new(target).vpn() % 256;
+                if sys.hot_dtlb_sets().contains(&set) {
+                    return Err(OracleError::HotSetCollision { set });
+                }
+                Ok(e.insert(PrimeProbe::for_target(sys, target)))
+            }
+        }
     }
 }
 
@@ -272,9 +280,8 @@ impl PacOracle for DataPacOracle {
     }
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
-        check_quiet(sys, target)?;
         let train_iters = self.train_iters;
-        let pp = self.probes.get(sys, target);
+        let pp = self.probes.get(sys, target)?;
         let sc = sys.gadget.data_gadget;
         // (1) train
         for _ in 0..train_iters {
@@ -354,9 +361,8 @@ impl PacOracle for InstrPacOracle {
     }
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
-        check_quiet(sys, target)?;
         let train_iters = self.train_iters;
-        let pp = self.probes.get(sys, target);
+        let pp = self.probes.get(sys, target)?;
         let pads = Self::pads_for(&mut self.pads, sys, target);
         let sc = sys.gadget.instr_gadget;
         for _ in 0..train_iters {
@@ -496,15 +502,31 @@ mod tests {
     }
 
     #[test]
-    fn hot_set_targets_are_rejected() {
+    fn hot_set_targets_are_rejected_on_every_call_and_never_cached() {
         let mut sys = quiet_system();
-        let hot = sys.hot_dtlb_sets()[0] as usize;
-        let target = sys.alloc_target(hot);
-        let mut oracle = DataPacOracle::new(&mut sys).unwrap();
-        assert!(matches!(
-            oracle.test_pac(&mut sys, target, 0),
-            Err(OracleError::HotSetCollision { .. })
-        ));
+        let hot = sys.hot_dtlb_sets()[0];
+        let target = sys.alloc_target(hot as usize);
+        let quiet = sys.alloc_target(sys.pick_quiet_dtlb_set());
+        let mut data = DataPacOracle::new(&mut sys).unwrap();
+        let mut instr = InstrPacOracle::new(&mut sys).unwrap();
+        let retired = sys.machine.stats.retired;
+        for call in 0..3 {
+            // A quiet target in between must not vouch for the hot one.
+            data.trial(&mut sys, quiet, 0).unwrap();
+            let retired_before = sys.machine.stats.retired;
+            for result in [data.trial(&mut sys, target, call), instr.trial(&mut sys, target, call)]
+            {
+                assert!(
+                    matches!(result, Err(OracleError::HotSetCollision { set }) if set == hot),
+                    "call {call}: {result:?}"
+                );
+            }
+            assert_eq!(sys.machine.stats.retired, retired_before, "rejected before any work");
+        }
+        assert!(sys.machine.stats.retired > retired);
+        assert!(!data.probes.by_target.contains_key(&target));
+        assert!(!instr.probes.by_target.contains_key(&target));
+        assert!(data.probes.by_target.contains_key(&quiet));
     }
 
     #[test]

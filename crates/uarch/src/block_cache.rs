@@ -139,7 +139,7 @@ impl BlockCache {
         self.decode_run(pa, phys)
     }
 
-    /// Holds the slot table of `pa`'s frame for [`BlockCache::fetch_held`]
+    /// Holds the slot table of `pa`'s frame for [`BlockCache::held_slot`]
     /// ([`HeldFrame::NONE`] if that frame has none in the current arena).
     pub(crate) fn hold(&self, pa: u64) -> HeldFrame {
         let index = (pa / PAGE_SIZE).wrapping_sub(1) as usize;
@@ -149,21 +149,16 @@ impl BlockCache {
         }
     }
 
-    /// Superblock dispatch: serves the word at `pa`, which must lie in
-    /// the frame `held` was taken for, straight from the held slot
-    /// table — the run [`BlockCache::fetch`]'s miss path decoded — with
-    /// the hit counted exactly as `fetch` would count it. Returns `None`
-    /// without touching any counter whenever `fetch` could do anything
-    /// but hit (a flushed arena, a pending code-write invalidation, a
-    /// misaligned word, an undecoded slot); the caller then falls back
-    /// to `fetch`.
+    /// Superblock dispatch: the word at `pa`, which must lie in the
+    /// frame `held` was taken for, straight from the held slot table —
+    /// the run [`BlockCache::fetch`]'s miss path decoded. `Some` exactly
+    /// when `fetch` would hit; the caller counts that hit in
+    /// [`BlockCacheStats::hits`] (the block dispatcher batches it).
+    /// `None` whenever `fetch` could do anything but hit (a flushed
+    /// arena, a pending code-write invalidation, a misaligned word, an
+    /// undecoded slot); the caller then falls back to `fetch`.
     #[inline]
-    pub(crate) fn fetch_held(
-        &mut self,
-        held: HeldFrame,
-        pa: u64,
-        phys: &PhysMemory,
-    ) -> Option<Inst> {
+    pub(crate) fn held_slot(&self, held: HeldFrame, pa: u64, phys: &PhysMemory) -> Option<Inst> {
         if held.epoch != self.epoch
             || phys.code_write_gen() != self.valid_gen
             || !pa.is_multiple_of(4)
@@ -173,9 +168,7 @@ impl BlockCache {
         debug_assert_eq!((pa / PAGE_SIZE).wrapping_sub(1) as usize, held.index);
         // Copied out whole (not destructured), so the micro-op moves as
         // one word.
-        let slot = self.frames[held.index].as_ref()?[(pa % PAGE_SIZE) as usize / 4];
-        self.stats.hits += u64::from(slot.is_some());
-        slot
+        self.frames[held.index].as_ref()?[(pa % PAGE_SIZE) as usize / 4]
     }
 
     /// Empties the arena, starting a new epoch.

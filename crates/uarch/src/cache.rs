@@ -196,15 +196,20 @@ impl Cache {
         }
     }
 
-    /// When `pa` lies in the line the previous [`Cache::access`]
-    /// touched, counts the hit that access would count and returns true
-    /// without scanning the set (the line is resident and already MRU).
-    /// Otherwise does nothing and returns false.
+    /// Whether `pa` lies in the line the previous [`Cache::access`]
+    /// touched: that line is resident and already MRU, so an access
+    /// would hit without changing the set. Counts nothing (see
+    /// [`Cache::count_hits`]).
     #[inline]
-    pub fn hit_last_line(&mut self, pa: u64) -> bool {
-        let hit = self.line_key(pa) == self.last_line;
-        self.stats.hits += u64::from(hit);
-        hit
+    pub(crate) fn in_last_line(&self, pa: u64) -> bool {
+        self.line_key(pa) == self.last_line
+    }
+
+    /// Counts `n` hits that [`Cache::in_last_line`] vouched for, as the
+    /// accesses they stand for would have.
+    #[inline]
+    pub(crate) fn count_hits(&mut self, n: u64) {
+        self.stats.hits += n;
     }
 
     /// Presence check without LRU update (for assertions in tests).

@@ -178,17 +178,6 @@ impl MemorySystem {
         }
     }
 
-    /// L1I fetch cycles for `pa`, skipping the set scan when `pa` is in
-    /// the line the previous L1I access touched.
-    #[inline]
-    fn cache_fetch_cycles(&mut self, pa: u64) -> u64 {
-        if self.l1i.hit_last_line(pa) {
-            self.latency.l1_hit
-        } else {
-            self.cache_fetch(pa).1
-        }
-    }
-
     fn cache_fetch(&mut self, pa: u64) -> (CacheHit, u64) {
         match self.l1i.access(pa) {
             CacheOutcome::Hit => (CacheHit::L1, self.latency.l1_hit),
@@ -329,13 +318,21 @@ impl MemorySystem {
         }
     }
 
-    /// Debug byte-slice write, page-crossing safe.
+    /// Debug byte-slice write, page-crossing safe: one translation per
+    /// page the slice touches. Returns `false` at the first unmapped
+    /// byte, with the bytes before it written.
     pub fn debug_write_bytes(&mut self, va: u64, bytes: &[u8]) -> bool {
-        for (i, &b) in bytes.iter().enumerate() {
-            match self.tables.translate(&self.phys, VirtualAddress::new(va + i as u64)) {
-                Some(pa) => self.phys.write_u8(pa, b),
-                None => return false,
-            }
+        let mut rest = bytes;
+        let mut va = va;
+        while !rest.is_empty() {
+            let Some(pa) = self.tables.translate(&self.phys, VirtualAddress::new(va)) else {
+                return false;
+            };
+            let in_page = (PAGE_SIZE - va % PAGE_SIZE).min(rest.len() as u64) as usize;
+            let (run, tail) = rest.split_at(in_page);
+            self.phys.write_bytes(pa, run);
+            rest = tail;
+            va = va.wrapping_add(in_page as u64);
         }
         true
     }
@@ -366,6 +363,10 @@ pub struct FetchFrontStats {
     pub served: u64,
     /// Fetches that took the full path instead.
     pub refills: u64,
+    /// Runs of served fetches the block dispatcher entered (each ends
+    /// at a branch off the page, an EL change, a failed check, a trap,
+    /// a stop or the budget; DESIGN.md §10, "Block dispatch").
+    pub blocks: u64,
 }
 
 impl FetchFrontStats {
@@ -374,6 +375,25 @@ impl FetchFrontStats {
     pub fn served_share(&self) -> f64 {
         self.served as f64 / (self.served + self.refills).max(1) as f64
     }
+
+    /// Mean served fetches per block (0 before the first block).
+    pub fn insts_per_block(&self) -> f64 {
+        self.served as f64 / self.blocks.max(1) as f64
+    }
+}
+
+/// The retire accounting of a block's served instructions, kept in
+/// locals and written back at every block exit and before every `Mrs`
+/// (see [`Machine::write_back`]).
+#[derive(Copy, Clone, Default)]
+struct Batch {
+    /// Instructions served (each one retire, one iTLB hit, one
+    /// block-cache hit and one front-served fetch).
+    served: u64,
+    /// Fetches that hit the L1I's last-touched line.
+    l1i_hits: u64,
+    /// Fetch plus ALU cycles.
+    cycles: u64,
 }
 
 /// One way of the cached engine's fetch front: a page an architectural
@@ -900,28 +920,132 @@ impl Machine {
     /// Returns the first architectural [`Trap`]. A trap while at EL1 is a
     /// kernel panic; the kernel crate turns it into a reboot.
     pub fn run(&mut self, max_insts: u64) -> Result<Stop, Trap> {
-        for _ in 0..max_insts {
-            if let Some(stop) = self.step()? {
-                return Ok(stop);
-            }
-        }
-        Ok(Stop::InstLimit)
+        Ok(self.dispatch(max_insts)?.unwrap_or(Stop::InstLimit))
     }
 
     /// Fetches, decodes and retires exactly one instruction — the retire
     /// boundary the differential conformance harness (`pacman-ref`)
-    /// compares committed state at.
+    /// compares committed state at. The same dispatcher as
+    /// [`Machine::run`], with a budget of one.
     ///
     /// # Errors
     ///
     /// Returns the architectural [`Trap`] raised by this instruction.
     pub fn step(&mut self) -> Result<Option<Stop>, Trap> {
-        if let Some(trap) = self.pending_spec_fault.take() {
-            // Only reachable under the `commit_suppressed_faults`
-            // injected bug: the wrong-path fault the squash should have
-            // discarded is delivered architecturally instead.
-            return Err(trap);
+        self.dispatch(1)
+    }
+
+    /// The retire loop: retires up to `budget` instructions and returns
+    /// the [`Stop`] that ended it early, if any. Under the cached engine
+    /// whole runs of fetches come from the fetch front
+    /// ([`Machine::serve_block`]); whatever the front cannot serve, the
+    /// interpreted engine and the profiler retire one instruction at a
+    /// time ([`Machine::retire_one`]).
+    fn dispatch(&mut self, budget: u64) -> Result<Option<Stop>, Trap> {
+        let by_block = self.config.engine == ExecEngine::Cached && !self.profiler.is_enabled();
+        let mut left = budget;
+        while left > 0 {
+            if let Some(trap) = self.pending_spec_fault.take() {
+                // Only reachable under the `commit_suppressed_faults`
+                // injected bug: the wrong-path fault the squash should
+                // have discarded is delivered architecturally instead.
+                return Err(trap);
+            }
+            if by_block {
+                let before = left;
+                if let Some(stop) = self.serve_block(&mut left)? {
+                    return Ok(Some(stop));
+                }
+                if left < before {
+                    continue;
+                }
+            }
+            left -= 1;
+            if let Some(stop) = self.retire_one()? {
+                return Ok(Some(stop));
+            }
         }
+        Ok(None)
+    }
+
+    /// Block dispatch: retires instructions from the fetch-front way of
+    /// the current pc's page while they stay on that page and EL and
+    /// every check [`MemorySystem::fetch_access`] plus
+    /// [`BlockCache::fetch`] would pass still holds, charging exactly
+    /// their cycles and counters. The iTLB hit is counted without a
+    /// lookup, an L1I access to the last-touched line without a set
+    /// scan, and the micro-op comes from the held slot table of the
+    /// page's frame. The retire accounting is batched in a [`Batch`]
+    /// and written back at every exit and before every `Mrs` (which
+    /// reads the cycle and retire counters). Decrements `left` once per
+    /// retired instruction; serves nothing, having changed nothing,
+    /// when the front cannot serve the first fetch, and
+    /// [`Machine::fetch_refill`] then takes the full path.
+    #[inline]
+    fn serve_block(&mut self, left: &mut u64) -> Result<Option<Stop>, Trap> {
+        let el = self.cpu.el;
+        let mut pc = self.cpu.pc;
+        let front = self.front[front_way(pc)];
+        if front_key(pc, el) != front.key {
+            return Ok(None);
+        }
+        let (alu, l1_hit) = (self.config.latency.alu, self.config.latency.l1_hit);
+        let mut batch = Batch::default();
+        let budget = *left;
+        let out = loop {
+            if self.mem.tlbs.fetch_epoch() != front.epoch {
+                break Ok(None);
+            }
+            let pa = front.frame | (pc & (PAGE_SIZE - 1));
+            let Some(inst) = self.block_cache.held_slot(front.held, pa, &self.mem.phys) else {
+                break Ok(None);
+            };
+            batch.served += 1;
+            if self.mem.l1i.in_last_line(pa) {
+                batch.l1i_hits += 1;
+                batch.cycles += l1_hit;
+            } else {
+                batch.cycles += self.mem.cache_fetch(pa).1;
+            }
+            batch.cycles += alu;
+            *left -= 1;
+            if matches!(inst, Inst::Mrs { .. }) {
+                self.write_back(&mut batch, el);
+            }
+            if let out @ (Ok(Some(_)) | Err(_)) = self.exec(pc, el, inst) {
+                break out;
+            }
+            pc = self.cpu.pc;
+            if *left == 0
+                || self.pending_spec_fault.is_some()
+                || self.cpu.el != el
+                || front_key(pc, el) != front.key
+            {
+                break Ok(None);
+            }
+        };
+        self.write_back(&mut batch, el);
+        self.front_stats.blocks += u64::from(*left < budget);
+        out
+    }
+
+    /// Writes a block's batched retire accounting back into the
+    /// machine's counters and empties the batch.
+    #[inline]
+    fn write_back(&mut self, batch: &mut Batch, el: El) {
+        let b = std::mem::take(batch);
+        self.cycles += b.cycles;
+        self.stats.retired += b.served;
+        self.mem.tlbs.count_itlb_hits(MemorySystem::world(el), b.served);
+        self.mem.l1i.count_hits(b.l1i_hits);
+        self.block_cache.stats.hits += b.served;
+        self.front_stats.served += b.served;
+    }
+
+    /// Retires one instruction down the full fetch path: the interpreted
+    /// engine, the profiler's per-retire records, and every fetch the
+    /// fetch front cannot serve.
+    fn retire_one(&mut self) -> Result<Option<Stop>, Trap> {
         let pc = self.cpu.pc;
         let el = self.cpu.el;
         let profiling = self.profiler.is_enabled();
@@ -930,10 +1054,7 @@ impl Machine {
         // The engines are bit-identical: the cached path only skips work
         // whose result is already known, never any simulated cost.
         let inst = match self.config.engine {
-            ExecEngine::Cached => match self.fetch_front(pc, el) {
-                Some(inst) => inst,
-                None => self.fetch_refill(pc, el)?,
-            },
+            ExecEngine::Cached => self.fetch_refill(pc, el)?,
             ExecEngine::Interpreted => {
                 let (fetch_outcome, pa) = self
                     .mem
@@ -962,30 +1083,6 @@ impl Machine {
         out
     }
 
-    /// The cached engine's fetch front: serves the instruction at `pc`
-    /// when the front has validated its page and the block cache holds
-    /// its predecoded slot, charging exactly what
-    /// [`MemorySystem::fetch_access`] plus [`BlockCache::fetch`] would
-    /// and moving exactly their counters. The iTLB hit is counted
-    /// without a lookup, an L1I access to the last-touched line without
-    /// a set scan, and the micro-op comes from the held slot table of
-    /// the page's frame. Returns `None`, having changed nothing, when
-    /// any of that does not hold; [`Machine::fetch_refill`] then takes
-    /// the full path.
-    #[inline]
-    fn fetch_front(&mut self, pc: u64, el: El) -> Option<Inst> {
-        let front = self.front[front_way(pc)];
-        if front_key(pc, el) != front.key || self.mem.tlbs.fetch_epoch() != front.epoch {
-            return None;
-        }
-        let pa = front.frame | (pc & (PAGE_SIZE - 1));
-        let inst = self.block_cache.fetch_held(front.held, pa, &self.mem.phys)?;
-        self.mem.tlbs.count_itlb_hit(MemorySystem::world(el));
-        self.cycles += self.mem.cache_fetch_cycles(pa);
-        self.front_stats.served += 1;
-        Some(inst)
-    }
-
     /// The full cached-engine fetch, which also re-validates the front
     /// for the page fetched from.
     #[inline(never)]
@@ -1011,6 +1108,7 @@ impl Machine {
         self.front_stats
     }
 
+    #[inline(always)]
     fn exec(&mut self, pc: u64, el: El, inst: Inst) -> Result<Option<Stop>, Trap> {
         let next = pc.wrapping_add(4);
         match inst {
@@ -1970,6 +2068,31 @@ mod tests {
         off.export_telemetry(&mut reg_off);
         assert!(!reg_off.snapshot().counters.keys().any(|k| k.starts_with("profile.")));
         assert_eq!(off.cycles, m.cycles, "profiling must not change simulated time");
+    }
+
+    #[test]
+    fn debug_write_bytes_straddles_pages_and_stops_at_the_first_unmapped_byte() {
+        let mut m = machine();
+        // Two mapped pages whose frames are not adjacent: the second
+        // half of a straddling write must land through its own
+        // translation.
+        m.map_page(USER_DATA, Perms::user_rw());
+        m.alloc_frame();
+        m.map_page(USER_DATA + PAGE_SIZE, Perms::user_rw());
+        let bytes: Vec<u8> = (1..=24).collect();
+        let va = USER_DATA + PAGE_SIZE - 10;
+        assert!(m.mem.debug_write_bytes(va, &bytes));
+        let read: Vec<u8> = (0..24).map(|i| m.mem.debug_read_u8(va + i).expect("mapped")).collect();
+        assert_eq!(read, bytes);
+        // A write running off the mapped pages: the mapped prefix is
+        // written, the call reports failure.
+        let va = USER_DATA + 2 * PAGE_SIZE - 6;
+        assert!(!m.mem.debug_write_bytes(va, &[0xAA; 10]));
+        assert!((0..6).all(|i| m.mem.debug_read_u8(va + i) == Some(0xAA)));
+        assert_eq!(m.mem.debug_read_u8(va + 6), None);
+        // Unmapped from the first byte: nothing is written.
+        assert!(!m.mem.debug_write_bytes(USER_DATA + 2 * PAGE_SIZE, &[1, 2]));
+        assert!(m.mem.debug_write_bytes(USER_DATA, &[]));
     }
 
     #[test]

@@ -225,10 +225,22 @@ impl PhysMemory {
         }
     }
 
-    /// Copies a byte slice into physical memory.
+    /// Copies a byte slice into physical memory, one copy per frame it
+    /// touches (unbacked frames are skipped, as by [`PhysMemory::write_u8`]).
     pub fn write_bytes(&mut self, pa: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(pa + i as u64, b);
+        let mut rest = bytes;
+        let mut pa = pa;
+        while !rest.is_empty() {
+            let pfn = pa / PAGE_SIZE;
+            let off = (pa % PAGE_SIZE) as usize;
+            let n = (PAGE_SIZE as usize - off).min(rest.len());
+            let (run, tail) = rest.split_at(n);
+            if let Some(f) = self.frames.get_mut((pfn.wrapping_sub(1)) as usize) {
+                f[off..off + n].copy_from_slice(run);
+                self.bump_if_code(pfn);
+            }
+            rest = tail;
+            pa += n as u64;
         }
     }
 }
@@ -285,6 +297,17 @@ mod tests {
         let base = m.alloc_frame() * PAGE_SIZE;
         m.write_bytes(base, &[1, 2, 3, 4]);
         assert_eq!(m.read_u32(base), u32::from_le_bytes([1, 2, 3, 4]));
+        // Across a frame boundary, then off the last backed frame: the
+        // unbacked part is dropped, as byte writes drop it.
+        let second = m.alloc_frame();
+        m.note_code_frame(second);
+        let gen = m.code_write_gen();
+        let end = (second + 1) * PAGE_SIZE;
+        m.write_bytes(end - PAGE_SIZE - 2, &[5, 6, 7, 8]);
+        assert_eq!(m.read_u32(end - PAGE_SIZE - 2), u32::from_le_bytes([5, 6, 7, 8]));
+        assert_ne!(m.code_write_gen(), gen, "the code frame's write is seen");
+        m.write_bytes(end - 2, &[9, 10, 11, 12]);
+        assert_eq!(m.read_u32(end - 2), u32::from_le_bytes([9, 10, 0, 0]));
     }
 
     #[test]

@@ -345,7 +345,7 @@ impl TlbHierarchy {
     /// [`TlbHierarchy::lookup_fetch`] of any world and vpn that returned
     /// a translation at or after this epoch is again an iTLB hit on the
     /// same entry, already MRU, that only moves the hit counters
-    /// ([`TlbHierarchy::count_itlb_hit`]).
+    /// ([`TlbHierarchy::count_itlb_hits`]).
     #[inline]
     pub(crate) fn fetch_epoch(&self) -> FetchEpoch {
         self.fetch_epoch
@@ -414,12 +414,12 @@ impl TlbHierarchy {
             // the cached entry is still its set's MRU way, so the full
             // scan below would hit it without promotion.
             if w == world && v == vpn {
-                self.count_itlb_hit(world);
+                self.count_itlb_hits(world, 1);
                 return FetchLookup::ItlbHit(e);
             }
         }
         if let Some((e, promoted)) = self.itlb_mut(world).lookup_promoting(vpn) {
-            self.count_itlb_hit(world);
+            self.count_itlb_hits(world, 1);
             if promoted {
                 self.itlb_changed();
             }
@@ -448,13 +448,13 @@ impl TlbHierarchy {
         self.fill_itlb_with_migration(world, entry);
     }
 
-    /// The counter updates of an iTLB hit, and nothing else.
+    /// The counter updates of `n` iTLB hits, and nothing else.
     #[inline]
-    pub(crate) fn count_itlb_hit(&mut self, world: FetchWorld) {
-        self.stats.itlb_hits += 1;
+    pub(crate) fn count_itlb_hits(&mut self, world: FetchWorld, n: u64) {
+        self.stats.itlb_hits += n;
         match world {
-            FetchWorld::User => self.stats.itlb_user_hits += 1,
-            FetchWorld::Kernel => self.stats.itlb_kernel_hits += 1,
+            FetchWorld::User => self.stats.itlb_user_hits += n,
+            FetchWorld::Kernel => self.stats.itlb_kernel_hits += n,
         }
     }
 
